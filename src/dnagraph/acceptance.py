@@ -9,7 +9,6 @@ code so the checks stay two-sided.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -22,13 +21,9 @@ from .digraph import (Digraph, _walk_join, isomorphic, line_digraph, make_chorde
 from .labeling import (Labeling, format_label, is_dna_certificate, verify_full,
                        verify_quasi)
 from .lift import lift_m, lift_once
-from .search import (BUDGET_EXCEEDED, SAT, UNSAT, SearchConfig,
-                     check_middle_vertex_lemma, explore_conjecture, find_labeling)
+from .search import (BUDGET_EXCEEDED, SAT, UNSAT, SearchConfig, check_middle_vertex_lemma,
+                     default_node_budget, explore_conjecture, find_labeling)
 from .sequencing import eulerian_path, hamiltonian_via_line, sample_pevzner_graph, spell_eulerian
-
-
-def node_budget() -> int:
-    return int(os.environ.get("DNAGRAPH_BUDGET", 10 ** 8))
 
 
 # golden rows restated independently of the constructions module
@@ -207,7 +202,7 @@ def criterion_ladder_fixtures() -> str:
         ladder = make_ladder(n)
         lab = Labeling(3, 4, dict(fixture))
         assert verify_full(ladder, lab), n
-    budget = node_budget()
+    budget = default_node_budget()
     rows = explore_conjecture(range(2, 7), node_budget=budget)
     notes = []
     for n in range(2, 7):
@@ -221,10 +216,11 @@ def criterion_ladder_fixtures() -> str:
 def criterion_negative_bound() -> str:
     """No quasi-(4,3)-labeling of the 15-vertex chorded cycle exists, and all
     small positive certificates satisfy the constant-middle-vertex fact."""
-    outcome = find_labeling(make_chorded_cycle(15), SearchConfig(4, 3, "quasi", node_budget()))
+    cfg = SearchConfig(4, 3, "quasi", default_node_budget())
+    outcome = find_labeling(make_chorded_cycle(15), cfg)
     assert outcome.verdict == UNSAT, outcome.verdict
     for n in range(6, 10):
-        sat = find_labeling(make_chorded_cycle(n), SearchConfig(4, 3, "quasi", node_budget()))
+        sat = find_labeling(make_chorded_cycle(n), cfg)
         assert sat.verdict == SAT, (n, sat.verdict)
         assert check_middle_vertex_lemma(make_chorded_cycle(n), sat.certificate), n
     return f"n=15 UNSAT after {outcome.nodes_explored} nodes; lemma holds on n=6..9 certificates"
@@ -253,7 +249,7 @@ def _small_fixtures():
 def criterion_oracle_agreement() -> str:
     """The search oracle independently finds a labeling wherever a compact
     construction fixture exists (up to 20 vertices, k up to 4)."""
-    budget = node_budget()
+    budget = default_node_budget()
     ran = 0
     for res in _small_fixtures():
         if res.digraph.vertex_count > 20 or res.labeling.k > 4:

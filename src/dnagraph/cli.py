@@ -6,7 +6,6 @@ produce identical bytes."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import acceptance
@@ -19,7 +18,8 @@ from .errors import DnaGraphError, InvalidParameterError
 from .labeling import (find_full_violation, find_quasi_violation, format_labeling,
                        parse_labeling)
 from .lift import lift_m
-from .search import SAT, SearchConfig, explore_conjecture, find_labeling
+from .search import (SAT, SearchConfig, default_node_budget, explore_conjecture,
+                     find_labeling)
 from .sequencing import (count_eulerian_paths, eulerian_path, hamiltonian_via_line,
                          pevzner_arc_labels, sample_pevzner_graph, spell_eulerian,
                          to_nucleotides)
@@ -33,10 +33,6 @@ CONSTRUCTIONS = {
     "windmill": (("n",), lambda a: label_windmill(a.n)),
     "propeller3": (("n", "p", "q"), lambda a: label_propeller(a.n, a.p, a.q)),
 }
-
-
-def _default_budget() -> int:
-    return int(os.environ.get("DNAGRAPH_BUDGET", 10 ** 8))
 
 
 def _read(path: str) -> str:
@@ -218,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--alpha", type=int, required=True)
     sea.add_argument("--k", type=int, required=True)
     sea.add_argument("--mode", choices=("quasi", "full"), default="quasi")
-    sea.add_argument("--budget", type=int, default=_default_budget())
-    sea.add_argument("--order", choices=("dfs", "given"), default="dfs")
+    sea.add_argument("--budget", type=int)
+    sea.add_argument("--order", choices=("mcs", "given"), default="mcs")
     sea.add_argument("--digraph", required=True)
     sea.add_argument("--out-labeling")
     sea.set_defaults(func=_cmd_search)
@@ -238,10 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     seq.add_argument("--demo", action="store_true", help="use the bundled TACGACTA instance")
     seq.set_defaults(func=_cmd_sequence)
 
-    con = sub.add_parser("conjecture", help="probe ladders for full labelings")
+    con = sub.add_parser("conjecture", help="settle ladders for full labelings")
     con.add_argument("--n-min", type=int, default=2)
     con.add_argument("--n-max", type=int, default=6)
-    con.add_argument("--budget", type=int, default=_default_budget())
+    con.add_argument("--budget", type=int)
     con.set_defaults(func=_cmd_conjecture)
 
     acc = sub.add_parser("acceptance", help="run the acceptance suite")
@@ -256,6 +252,9 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # resolved here, not in build_parser, so a bad DNAGRAPH_BUDGET is a usage error
+        if getattr(args, "budget", 0) is None:
+            args.budget = default_node_budget()
         return args.func(args, out)
     except InvalidParameterError as exc:
         out.write(f"error: {exc}\n")

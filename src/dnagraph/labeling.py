@@ -171,7 +171,8 @@ def parse_labeling(text: str) -> Labeling:
         if not symbols:
             parts = row.split()
             name, symbols = parts[0], " ".join(parts[1:])
+        name = name.strip()
         if name in assignment:
             raise InvalidInputError(f"vertex {name} labeled twice")
-        assignment[name.strip()] = tuple(int(s) for s in symbols.split())
+        assignment[name] = tuple(int(s) for s in symbols.split())
     return Labeling(alpha, k, assignment)

@@ -2,15 +2,18 @@
 
 Finding such a labeling for an arbitrary digraph is NP-complete, so this
 is an exhaustive desk-scale tool: it validates the closed-form
-constructions independently, certifies small negative results, and probes
-the ladder family.  Vertices are decided depth-first along arcs so that a
-new vertex usually has a decided in-neighbor, which pins all but the last
-symbol of its label and keeps the branching factor at alpha.
+constructions independently, certifies small negative results, and settles
+the ladder family at desk scale.  Vertices are decided in maximum-cardinality
+order (Tarjan & Yannakakis, SIAM J. Comput. 1984): the next vertex is the
+undecided one with the most decided in- and out-neighbors, so a new vertex
+usually has its prefix and suffix pinned by decided labels and short cycles
+such as the squares of a ladder close, and get refuted, as early as possible.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 from .digraph import Digraph, make_ladder
@@ -31,7 +34,7 @@ class SearchConfig:
     k: int
     mode: str = "quasi"
     node_budget: int = DEFAULT_NODE_BUDGET
-    order: str = "dfs"
+    order: str = "mcs"
 
     def __post_init__(self):
         if self.alpha < 2:
@@ -42,7 +45,7 @@ class SearchConfig:
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
         if self.node_budget <= 0:
             raise InvalidParameterError("node budget must be positive")
-        if self.order not in ("dfs", "given"):
+        if self.order not in ("mcs", "given"):
             raise InvalidParameterError(f"unknown order policy {self.order!r}")
 
 
@@ -57,26 +60,38 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def default_node_budget() -> int:
+    """The node budget of a search not given one: DNAGRAPH_BUDGET if set,
+    else DEFAULT_NODE_BUDGET."""
+    raw = os.environ.get("DNAGRAPH_BUDGET")
+    if raw is None:
+        return DEFAULT_NODE_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidParameterError(f"DNAGRAPH_BUDGET must be an integer, got {raw!r}") from None
+
+
 def _vertex_order(d: Digraph, policy: str) -> list[str]:
+    """Decision order: ``given`` keeps vertex order; ``mcs`` starts at the
+    first vertex of maximum out-degree, then takes the undecided vertex with
+    the most decided in- and out-neighbors, ties going to the vertex whose
+    count rose last, then to vertex order."""
     if policy == "given":
         return list(d.vertices)
-    start = max(d.vertices, key=lambda v: d.out_degree(v))
+    weight = dict.fromkeys(d.vertices, 0)  # undecided vertices, in vertex order
+    touched = dict.fromkeys(d.vertices, -1)
+    v = max(d.vertices, key=d.out_degree)
     order: list[str] = []
-    seen: set[str] = set()
-    stack = [start]
-    while len(order) < d.vertex_count:
-        if not stack:
-            nxt = next((v for v in d.vertices if v not in seen and
-                        any(w in seen for w in (*d.out_neighbors(v), *d.in_neighbors(v)))), None)
-            if nxt is None:
-                nxt = next(v for v in d.vertices if v not in seen)
-            stack.append(nxt)
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
+    for step in range(d.vertex_count):
+        if step:
+            v = max(weight, key=lambda u: (weight[u], touched[u]))  # first of equals wins
         order.append(v)
-        stack.extend(reversed(d.out_neighbors(v)))
+        del weight[v]
+        for w in (*d.out_neighbors(v), *d.in_neighbors(v)):
+            if w in weight:
+                weight[w] += 1
+                touched[w] = step
     return order
 
 

@@ -150,6 +150,17 @@ def test_budget_env_var(monkeypatch, tmp_path):
     assert out.split()[3] == "BUDGET_EXCEEDED"
 
 
+def test_bad_budget_env_var_is_usage_error(monkeypatch, tmp_path):
+    monkeypatch.setenv("DNAGRAPH_BUDGET", "abc")
+    g = tmp_path / "g.txt"
+    run(["gen", "--family", "ladder", "--n", "3", "--out", str(g)])
+    for argv in (["search", "--alpha", "3", "--k", "4", "--digraph", str(g)],
+                 ["conjecture", "--n-max", "2"]):
+        code, out = run(argv)
+        assert code == 2
+        assert out.startswith("error:") and out.count("\n") == 1
+
+
 def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["gen", "--family", "nonsense", "--n", "3"], out=io.StringIO())

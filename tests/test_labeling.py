@@ -128,6 +128,10 @@ class TestTextFormat:
         lines = format_labeling(lab).splitlines()
         assert lines[1].startswith("a\t") and lines[2].startswith("b\t")
 
+    def test_duplicate_name_after_whitespace_strip(self):
+        with pytest.raises(InvalidInputError):
+            parse_labeling("2 2\nx\t1 1\nx \t1 2\n")
+
     def test_bad_header(self):
         with pytest.raises(InvalidInputError):
             parse_labeling("oops\n")

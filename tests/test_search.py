@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from dnagraph import (BUDGET_EXCEEDED, InvalidParameterError, Labeling,
+from dnagraph import (BUDGET_EXCEEDED, Digraph, InvalidParameterError, Labeling,
                       ResourceLimitError, SAT, SearchConfig, UNSAT,
                       check_middle_vertex_lemma, explore_conjecture, find_labeling,
                       label_chorded_cycle, make_chorded_cycle, make_dicycle,
@@ -38,7 +40,7 @@ class TestFindLabeling:
     def test_small_full_unsat_both_orders(self):
         # a full (2,2)-labeling of C4 would need all four words incl. the
         # constant ones, whose self-overlap demands a loop
-        for order in ("dfs", "given"):
+        for order in ("mcs", "given"):
             out = find_labeling(make_dicycle(4), SearchConfig(2, 2, "full", order=order))
             assert out.verdict == UNSAT
 
@@ -62,6 +64,23 @@ class TestFindLabeling:
     def test_size_cap(self):
         with pytest.raises(ResourceLimitError):
             find_labeling(make_dicycle(9), SearchConfig(2, 2), size_cap=8)
+
+    def test_verdict_independent_of_order(self):
+        rng = random.Random(2018)
+        checks = {"quasi": verify_quasi, "full": verify_full}
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            names = [f"v{i}" for i in range(n)]
+            arcs = [(u, w) for u in names for w in names if rng.random() < 0.25]
+            d = Digraph(names, arcs)
+            alpha, k, mode = rng.choice((2, 3)), rng.choice((2, 3)), rng.choice(tuple(checks))
+            verdicts = set()
+            for order in ("mcs", "given"):
+                out = find_labeling(d, SearchConfig(alpha, k, mode, order=order))
+                verdicts.add(out.verdict)
+                if out.verdict == SAT:
+                    assert checks[mode](d, out.certificate)
+            assert len(verdicts) == 1, (arcs, alpha, k, mode, verdicts)
 
     def test_oracle_agrees_with_catalogue(self):
         for n in (6, 11, 14):
@@ -102,6 +121,17 @@ class TestConjectureExplorer:
         for n in (2, 3, 4):
             assert by_key[(n, 3, 4)] == SAT
             assert by_key[(n, 4, 4)] == SAT
+
+    def test_ladder_verdict_table(self):
+        rows = [(r.n, r.alpha, r.k, r.verdict) for r in explore_conjecture(range(10, 17))]
+        expected = []
+        for n in range(10, 17):
+            for alpha, last_sat in ((3, 11), (4, 15)):
+                if n <= last_sat:
+                    expected.append((n, alpha, 4, SAT))
+                else:
+                    expected += [(n, alpha, 4, UNSAT), (n, alpha, 5, UNSAT)]
+        assert rows == expected
 
     def test_fallback_row_appears_on_budget(self):
         rows = explore_conjecture([4], node_budget=2)
