@@ -131,8 +131,7 @@ def _cmd_sequence(args, out) -> int:
         d, lab = sample_pevzner_graph()
     else:
         if not (args.digraph and args.labeling):
-            out.write("sequence needs --demo or both --digraph and --labeling\n")
-            return 2
+            raise InvalidParameterError("sequence needs --demo or both --digraph and --labeling")
         d, lab = _load_pair(args)
     names = to_nucleotides(lab)
     out.write("vertices:\n")
@@ -247,8 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None, out=None) -> int:
+def main(argv=None, out=None, err=None) -> int:
+    """Run one verb; results go to out, each error as one line to err."""
     out = out if out is not None else sys.stdout
+    err = err if err is not None else sys.stderr
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -257,16 +258,16 @@ def main(argv=None, out=None) -> int:
             args.budget = default_node_budget()
         return args.func(args, out)
     except InvalidParameterError as exc:
-        out.write(f"error: {exc}\n")
+        err.write(f"error: {exc}\n")
         return 2
     except DnaGraphError as exc:
-        out.write(f"error: {exc}\n")
+        err.write(f"error: {exc}\n")
         return 1
     except FileNotFoundError as exc:
-        out.write(f"error: {exc}\n")
+        err.write(f"error: {exc}\n")
         return 2
     except ValueError as exc:
-        out.write(f"error: {exc}\n")
+        err.write(f"error: {exc}\n")
         return 2
 
 

@@ -11,6 +11,7 @@ searches, and golden tests deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InvalidParameterError, ResourceLimitError
 
@@ -30,23 +31,33 @@ class Digraph:
         self._vset = frozenset(self._vertices)
         if len(self._vset) != len(self._vertices):
             raise InvalidParameterError("duplicate vertex name in vertex set")
-        out = {v: [] for v in self._vertices}
-        inc = {v: [] for v in self._vertices}
-        ordered = []
+        arcs = tuple(map(tuple, arcs))
+        self._arcset = frozenset(arcs)
+        if (len(self._arcset) != len(arcs) or not frozenset(map(len, arcs)) <= {2}
+                or not self._vset.issuperset(chain.from_iterable(arcs))):
+            self._first_arc_error(arcs)
+        self._arcs = arcs
+        # adjacency is built on the first neighbour or degree query; the lift
+        # path never makes one, so its large digraphs never pay for it
+        self._out = self._in = None
+
+    def _first_arc_error(self, arcs):
+        """Raise the error of the first bad arc, in arc order."""
         seen = set()
         for tail, head in arcs:
             if tail not in self._vset or head not in self._vset:
                 raise InvalidParameterError(f"arc endpoint outside vertex set: {tail} -> {head}")
-            arc = (tail, head)
-            if arc in seen:
+            if (tail, head) in seen:
                 # every catalogued family is a simple digraph; duplicates are caller bugs
                 raise InvalidParameterError(f"duplicate arc {tail} -> {head}")
-            seen.add(arc)
-            ordered.append(arc)
+            seen.add((tail, head))
+
+    def _build_adjacency(self):
+        out = {v: [] for v in self._vertices}
+        inc = {v: [] for v in self._vertices}
+        for tail, head in self._arcs:
             out[tail].append(head)
             inc[head].append(tail)
-        self._arcs = tuple(ordered)
-        self._arcset = seen
         self._out = {v: tuple(ns) for v, ns in out.items()}
         self._in = {v: tuple(ns) for v, ns in inc.items()}
 
@@ -73,16 +84,20 @@ class Digraph:
         return (tail, head) in self._arcset
 
     def out_neighbors(self, v: str) -> tuple[str, ...]:
+        if self._out is None:
+            self._build_adjacency()
         return self._out[v]
 
     def in_neighbors(self, v: str) -> tuple[str, ...]:
+        if self._in is None:
+            self._build_adjacency()
         return self._in[v]
 
     def out_degree(self, v: str) -> int:
-        return len(self._out[v])
+        return len(self.out_neighbors(v))
 
     def in_degree(self, v: str) -> int:
-        return len(self._in[v])
+        return len(self.in_neighbors(v))
 
     def __eq__(self, other):
         if not isinstance(other, Digraph):
@@ -236,24 +251,23 @@ class FamilySpec:
 # ---------------------------------------------------------------------------
 
 def _walk_join(tail: str, head: str) -> str:
-    tt = tail.split(WALK_SEP)
-    hh = head.split(WALK_SEP)
-    if tt[1:] == hh[:-1]:
-        return WALK_SEP.join(tt + [hh[-1]])
-    return WALK_SEP.join(tt + hh)
+    """Name of the arc tail -> head: its walk, where two walks that overlap in
+    all but their end vertices share that overlap once."""
+    _, tail_sep, tail_rest = tail.partition(WALK_SEP)
+    head_init, head_sep, head_last = head.rpartition(WALK_SEP)
+    if tail_sep == head_sep and tail_rest == head_init:
+        return tail + WALK_SEP + head_last
+    return tail + WALK_SEP + head
 
 
 def line_digraph(d: Digraph) -> Digraph:
     """Digraph on the arcs of d; x -> y present iff head(x) = tail(y)."""
-    names = {arc: _walk_join(*arc) for arc in d.arcs}
-    by_tail: dict[str, list[tuple[str, str]]] = {}
-    for arc in d.arcs:
-        by_tail.setdefault(arc[0], []).append(arc)
-    arcs = []
-    for x in d.arcs:
-        for y in by_tail.get(x[1], ()):
-            arcs.append((names[x], names[y]))
-    return Digraph([names[a] for a in d.arcs], arcs)
+    names = [_walk_join(tail, head) for tail, head in d.arcs]
+    by_tail: dict[str, list[str]] = {}
+    for (tail, _), name in zip(d.arcs, names):
+        by_tail.setdefault(tail, []).append(name)
+    arcs = [(x, y) for (_, head), x in zip(d.arcs, names) for y in by_tail.get(head, ())]
+    return Digraph(names, arcs)
 
 
 def iterated_line_digraph(d: Digraph, m: int, vertex_cap: int = LINE_VERTEX_CAP) -> Digraph:
@@ -325,32 +339,40 @@ def isomorphic(a: Digraph, b: Digraph, size_cap: int = ISO_SIZE_CAP) -> bool:
 # ---------------------------------------------------------------------------
 
 def format_digraph_text(d: Digraph) -> str:
-    """Plain-text format: header ``n m`` then one ``tail head`` line per arc."""
+    """Plain-text format: header ``n m``, one ``tail head`` line per arc, then
+    one line per isolated vertex holding just its name."""
     lines = [f"{d.vertex_count} {d.arc_count}"]
-    lines += [f"{t} {h}" for t, h in d.arcs]
+    lines += map(" ".join, d.arcs)
+    isolated = d._vset.difference(chain.from_iterable(d.arcs))
+    lines += [v for v in d.vertices if v in isolated]
     return "\n".join(lines) + "\n"
 
 
 def parse_digraph_text(text: str) -> Digraph:
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if not rows or len(rows[0]) != 2:
+    # one row at a time: each token list is freed as soon as its line is read
+    rows = filter(None, map(str.split, text.splitlines()))
+    header = next(rows, None)
+    if header is None or len(header) != 2:
         raise InvalidParameterError("digraph text must start with a header line 'n m'")
-    n, m = (int(x) for x in rows[0])
-    if len(rows) - 1 != m:
-        raise InvalidParameterError(f"expected {m} arc lines, found {len(rows) - 1}")
-    vertices: list[str] = []
-    seen: set[str] = set()
+    n, m = (int(x) for x in header)
     arcs = []
-    for row in rows[1:]:
-        if len(row) != 2:
+    isolated = []
+    for row in rows:
+        if len(row) == 2:
+            arcs.append((row[0], row[1]))
+        elif len(row) == 1:
+            isolated.append(row[0])
+        else:
             raise InvalidParameterError(f"malformed arc line: {' '.join(row)!r}")
-        for name in row:
-            if name not in seen:
-                seen.add(name)
-                vertices.append(name)
-        arcs.append((row[0], row[1]))
+    if len(arcs) != m:
+        raise InvalidParameterError(f"expected {m} arc lines, found {len(arcs)}")
+    vertices = dict.fromkeys(chain.from_iterable(arcs))
+    for name in isolated:
+        if name in vertices:
+            raise InvalidParameterError(f"vertex line {name!r} names a vertex already in the file")
+        vertices[name] = None
     if len(vertices) != n:
-        raise InvalidParameterError(f"header says {n} vertices, arcs mention {len(vertices)}")
+        raise InvalidParameterError(f"header says {n} vertices, file names {len(vertices)}")
     return Digraph(vertices, arcs)
 
 

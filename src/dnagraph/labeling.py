@@ -14,6 +14,7 @@ A digraph carrying a full labeling with alpha <= 4 is a DNA graph: symbols
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .digraph import Digraph
@@ -46,11 +47,13 @@ class Labeling:
         if self.k < 2:
             raise InvalidInputError("label length k must be greater than 1")
         clean = {}
+        k = self.k
+        symbols = frozenset(range(1, self.alpha + 1))
         for v, raw in self.assignment.items():
-            label = tuple(int(s) for s in raw)
-            if len(label) != self.k:
-                raise InvalidInputError(f"label for {v} has length {len(label)}, expected k={self.k}")
-            if any(s < 1 or s > self.alpha for s in label):
+            label = tuple(map(int, raw))
+            if len(label) != k:
+                raise InvalidInputError(f"label for {v} has length {len(label)}, expected k={k}")
+            if not symbols.issuperset(label):
                 raise InvalidInputError(f"label for {v} uses symbols outside 1..{self.alpha}")
             clean[v] = label
         object.__setattr__(self, "assignment", clean)
@@ -72,9 +75,9 @@ def overlap_merge(a: Label, b: Label) -> Label:
 
 
 def _require_total(d: Digraph, lab: Labeling) -> None:
-    have = set(lab.assignment)
     want = set(d.vertices)
-    if have != want:
+    if lab.assignment.keys() != want:
+        have = set(lab.assignment)
         missing = sorted(want - have)
         extra = sorted(have - want)
         raise InvalidInputError(
@@ -83,9 +86,12 @@ def _require_total(d: Digraph, lab: Labeling) -> None:
 
 def find_distinct_violation(d: Digraph, lab: Labeling) -> str | None:
     _require_total(d, lab)
+    labels = lab.assignment
+    if len(set(labels.values())) == len(labels):
+        return None
     seen: dict[Label, str] = {}
     for v in d.vertices:
-        label = lab.label_of(v)
+        label = labels[v]
         if label in seen:
             return f"vertices {seen[label]} and {v} share label {format_label(label)}"
         seen[label] = v
@@ -101,9 +107,10 @@ def find_quasi_violation(d: Digraph, lab: Labeling) -> str | None:
     dup = find_distinct_violation(d, lab)
     if dup is not None:
         return dup
+    labels = lab.assignment
     for tail, head in d.arcs:
-        lt = lab.label_of(tail)
-        lh = lab.label_of(head)
+        lt = labels[tail]
+        lh = labels[head]
         if lt[1:] != lh[:-1]:
             return (f"arc {tail} -> {head}: suffix {format_label(lt[1:])} "
                     f"does not match prefix {format_label(lh[:-1])}")
@@ -115,11 +122,19 @@ def find_full_violation(d: Digraph, lab: Labeling) -> str | None:
     bad = find_quasi_violation(d, lab)
     if bad is not None:
         return bad
+    # Quasi holds, so every arc x -> y is an overlapping ordered pair
+    # (suffix(x) = prefix(y), x = y included), and arcs are distinct: the arc
+    # set is a subset of the overlap pairs, and equals it iff the two counts
+    # agree.  Labels are distinct, so counting by label counts vertex pairs.
+    labels = lab.assignment
+    prefix_count = Counter(label[:-1] for label in labels.values())
+    if sum(prefix_count[label[1:]] for label in labels.values()) == d.arc_count:
+        return None
     by_prefix: dict[Label, list[str]] = {}
     for v in d.vertices:
-        by_prefix.setdefault(lab.label_of(v)[:-1], []).append(v)
+        by_prefix.setdefault(labels[v][:-1], []).append(v)
     for x in d.vertices:
-        suffix = lab.label_of(x)[1:]
+        suffix = labels[x][1:]
         for y in by_prefix.get(suffix, ()):
             if not d.has_arc(x, y):
                 return (f"overlap pair {x}, {y} (shared window {format_label(suffix)}) "
@@ -152,8 +167,8 @@ def format_labeling(lab: Labeling) -> str:
     """Header ``alpha k`` then one ``vertex<TAB>s1 s2 ... sk`` line per vertex,
     ordered by vertex name."""
     lines = [f"{lab.alpha} {lab.k}"]
-    for v in sorted(lab.assignment):
-        lines.append(v + "\t" + " ".join(str(s) for s in lab.label_of(v)))
+    labels = lab.assignment
+    lines += [v + "\t" + " ".join(map(str, labels[v])) for v in sorted(labels)]
     return "\n".join(lines) + "\n"
 
 
@@ -174,5 +189,5 @@ def parse_labeling(text: str) -> Labeling:
         name = name.strip()
         if name in assignment:
             raise InvalidInputError(f"vertex {name} labeled twice")
-        assignment[name] = tuple(int(s) for s in symbols.split())
+        assignment[name] = tuple(map(int, symbols.split()))
     return Labeling(alpha, k, assignment)

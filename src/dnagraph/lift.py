@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, line_digraph, _walk_join
+from .digraph import LINE_VERTEX_CAP, Digraph, line_digraph
 from .errors import ConstructionFailure, InvalidInputError, InvalidParameterError, ResourceLimitError
 from .labeling import Labeling, find_full_violation, find_quasi_violation, overlap_merge
-
-LIFT_ARC_CAP = 50_000
 
 
 @dataclass(frozen=True)
@@ -43,10 +41,10 @@ def lift_once(d: Digraph, lab: Labeling) -> tuple[Digraph, Labeling]:
     if bad is not None:
         raise InvalidInputError(f"lift needs a quasi-valid labeling: {bad}")
     lifted = line_digraph(d)
-    assignment = {
-        _walk_join(tail, head): overlap_merge(lab.label_of(tail), lab.label_of(head))
-        for tail, head in d.arcs
-    }
+    labels = lab.assignment
+    # line_digraph names its vertices in the order of d's arcs
+    assignment = {name: overlap_merge(labels[tail], labels[head])
+                  for name, (tail, head) in zip(lifted.vertices, d.arcs)}
     lifted_lab = Labeling(lab.alpha, lab.k + 1, assignment)
     bad = find_full_violation(lifted, lifted_lab)
     if bad is not None:
@@ -55,17 +53,18 @@ def lift_once(d: Digraph, lab: Labeling) -> tuple[Digraph, Labeling]:
 
 
 def lift_m(d: Digraph, lab: Labeling, m: int, keep_intermediates: bool = False,
-           arc_cap: int = LIFT_ARC_CAP) -> LiftedLabeling:
-    """Apply lift_once m times (m >= 1)."""
+           vertex_cap: int = LINE_VERTEX_CAP) -> LiftedLabeling:
+    """Apply lift_once m times (m >= 1), refusing a step that would build more
+    than vertex_cap vertices."""
     if m < 1:
         raise InvalidParameterError("lift count m must be >= 1")
     counts = [d.vertex_count]
     kept: list[tuple[Digraph, Labeling]] = []
     cur_d, cur_lab = d, lab
     for _ in range(m):
-        if cur_d.arc_count > arc_cap:
+        if cur_d.arc_count > vertex_cap:
             raise ResourceLimitError(
-                f"next lift would create {cur_d.arc_count} vertices, cap is {arc_cap}")
+                f"next lift would create {cur_d.arc_count} vertices, cap is {vertex_cap}")
         cur_d, cur_lab = lift_once(cur_d, cur_lab)
         counts.append(cur_d.vertex_count)
         if keep_intermediates:

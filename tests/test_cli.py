@@ -5,10 +5,16 @@ import pytest
 from dnagraph import cli
 
 
-def run(argv):
+def run_with_err(argv):
     out = io.StringIO()
-    code = cli.main(argv, out=out)
-    return code, out.getvalue()
+    err = io.StringIO()
+    code = cli.main(argv, out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(argv):
+    code, out, _ = run_with_err(argv)
+    return code, out
 
 
 def test_gen_writes_digraph_text(tmp_path):
@@ -30,18 +36,18 @@ def test_gen_stdout_deterministic():
 
 
 def test_gen_invalid_parameter_is_usage_error():
-    code, out = run(["gen", "--family", "dicycle", "--n", "1"])
-    assert code == 2 and "error" in out
+    code, out, err = run_with_err(["gen", "--family", "dicycle", "--n", "1"])
+    assert code == 2 and "error" in err and out == ""
 
 
 def test_label_missing_parameter_is_usage_error():
-    code, out = run(["label", "--construction", "infinity-c3"])
-    assert code == 2 and "--p" in out
+    code, out, err = run_with_err(["label", "--construction", "infinity-c3"])
+    assert code == 2 and "--p" in err and out == ""
 
 
 def test_label_out_of_catalogue_is_usage_error():
-    code, out = run(["label", "--construction", "chorded-cycle", "--n", "15"])
-    assert code == 2 and "error" in out
+    code, out, err = run_with_err(["label", "--construction", "chorded-cycle", "--n", "15"])
+    assert code == 2 and "error" in err and out == ""
 
 
 def test_label_verify_lift_round_trip(tmp_path):
@@ -61,6 +67,22 @@ def test_label_verify_lift_round_trip(tmp_path):
     assert code == 0
     code, out = run(["verify", "--mode", "dna", "--digraph", str(g2), "--labeling", str(l2)])
     assert code == 0
+
+
+def test_lifted_isolated_vertex_is_readable(tmp_path):
+    # L(P2) is one vertex and no arc; verify must read the file lift writes
+    g = tmp_path / "p2.txt"
+    l = tmp_path / "p2.labeling"
+    run(["gen", "--family", "dipath", "--n", "2", "--out", str(g)])
+    l.write_text("2 2\nv1\t1 2\nv2\t2 1\n")
+    g2 = tmp_path / "lifted.txt"
+    l2 = tmp_path / "lifted.labeling"
+    code, _ = run(["lift", "--m", "1", "--digraph", str(g), "--labeling", str(l),
+                   "--out-digraph", str(g2), "--out-labeling", str(l2)])
+    assert code == 0
+    assert g2.read_text() == "1 0\nv1→v2\n"
+    code, out = run(["verify", "--mode", "full", "--digraph", str(g2), "--labeling", str(l2)])
+    assert code == 0 and out == "ok: labeling is full-valid\n"
 
 
 def test_verify_reports_first_violation(tmp_path):
@@ -112,8 +134,9 @@ def test_sequence_demo_spells_target():
 
 
 def test_sequence_requires_input():
-    code, out = run(["sequence"])
-    assert code == 2
+    code, out, err = run_with_err(["sequence"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: sequence needs --demo") and err.count("\n") == 1
 
 
 def test_conjecture_table():
@@ -131,8 +154,8 @@ def test_acceptance_single_criterion():
 
 
 def test_acceptance_unknown_criterion():
-    code, out = run(["acceptance", "--only", "no-such-check"])
-    assert code == 2 and "error" in out
+    code, out, err = run_with_err(["acceptance", "--only", "no-such-check"])
+    assert code == 2 and "error" in err and out == ""
 
 
 def test_sequence_reports_path_count():
@@ -156,9 +179,9 @@ def test_bad_budget_env_var_is_usage_error(monkeypatch, tmp_path):
     run(["gen", "--family", "ladder", "--n", "3", "--out", str(g)])
     for argv in (["search", "--alpha", "3", "--k", "4", "--digraph", str(g)],
                  ["conjecture", "--n-max", "2"]):
-        code, out = run(argv)
-        assert code == 2
-        assert out.startswith("error:") and out.count("\n") == 1
+        code, out, err = run_with_err(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_bad_flags_exit_2():

@@ -230,6 +230,20 @@ class TestTextFormats:
         text = format_digraph_text(make_ladder(3))
         assert format_digraph_text(parse_digraph_text(text)) == text
 
+    def test_isolated_vertex_round_trip(self):
+        lone = line_digraph(make_dipath(2))
+        assert format_digraph_text(lone) == "1 0\nv1→v2\n"
+        assert parse_digraph_text(format_digraph_text(lone)) == lone
+        mixed = Digraph(["a", "b", "c"], [("a", "b")])
+        assert format_digraph_text(mixed) == "3 1\na b\nc\n"
+        assert parse_digraph_text(format_digraph_text(mixed)) == mixed
+
+    def test_vertex_line_checked_against_header(self):
+        with pytest.raises(InvalidParameterError):
+            parse_digraph_text("2 1\na b\nc\n")
+        with pytest.raises(InvalidParameterError):
+            parse_digraph_text("2 1\na b\nb\n")
+
     def test_header_mismatch(self):
         with pytest.raises(InvalidParameterError):
             parse_digraph_text("2 1\na b\nb c\n")

@@ -1,0 +1,131 @@
+"""Differential tests: the set- and count-based checks against plain loops.
+
+Each reference below is the straightforward per-element loop: split walk
+names, probe every arc, probe every overlap pair.  The library's versions
+must give the same names and the same first-error messages, None included.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from dnagraph import (Digraph, InvalidParameterError, Labeling, WALK_SEP,
+                      find_distinct_violation, find_full_violation, find_quasi_violation,
+                      format_label)
+from dnagraph.acceptance import _random_quasi_instance
+from dnagraph.digraph import _walk_join
+
+
+def reference_walk_join(tail, head):
+    tt = tail.split(WALK_SEP)
+    hh = head.split(WALK_SEP)
+    if tt[1:] == hh[:-1]:
+        return WALK_SEP.join(tt + [hh[-1]])
+    return WALK_SEP.join(tt + hh)
+
+
+def reference_arc_error(vertices, arcs):
+    vset = set(vertices)
+    seen = set()
+    for tail, head in arcs:
+        if tail not in vset or head not in vset:
+            return f"arc endpoint outside vertex set: {tail} -> {head}"
+        if (tail, head) in seen:
+            return f"duplicate arc {tail} -> {head}"
+        seen.add((tail, head))
+    return None
+
+
+def reference_distinct(d, lab):
+    seen = {}
+    for v in d.vertices:
+        label = lab.label_of(v)
+        if label in seen:
+            return f"vertices {seen[label]} and {v} share label {format_label(label)}"
+        seen[label] = v
+    return None
+
+
+def reference_quasi(d, lab):
+    dup = reference_distinct(d, lab)
+    if dup is not None:
+        return dup
+    for tail, head in d.arcs:
+        lt = lab.label_of(tail)
+        lh = lab.label_of(head)
+        if lt[1:] != lh[:-1]:
+            return (f"arc {tail} -> {head}: suffix {format_label(lt[1:])} "
+                    f"does not match prefix {format_label(lh[:-1])}")
+    return None
+
+
+def reference_full(d, lab):
+    bad = reference_quasi(d, lab)
+    if bad is not None:
+        return bad
+    for x in d.vertices:
+        suffix = lab.label_of(x)[1:]
+        for y in d.vertices:
+            if lab.label_of(y)[:-1] == suffix and not d.has_arc(x, y):
+                return (f"overlap pair {x}, {y} (shared window {format_label(suffix)}) "
+                        f"is not an arc")
+    return None
+
+
+def test_walk_join_matches_split_reference():
+    names = ["".join(p) for n in range(5)
+             for p in itertools.product(("a", "b", WALK_SEP), repeat=n)]
+    assert len(names) == 121  # the empty name included
+    for tail, head in itertools.product(names, repeat=2):
+        assert _walk_join(tail, head) == reference_walk_join(tail, head), (tail, head)
+
+
+@pytest.mark.parametrize("arcs", [
+    [("a", "b"), ("a", "c"), ("a", "b")],   # outside endpoint before the duplicate
+    [("a", "b"), ("a", "b"), ("a", "c")],   # duplicate before the outside endpoint
+    [("c", "a"), ("a", "b"), ("a", "b")],
+])
+def test_digraph_first_arc_error_matches_reference(arcs):
+    with pytest.raises(InvalidParameterError) as exc:
+        Digraph(["a", "b"], arcs)
+    assert str(exc.value) == reference_arc_error(["a", "b"], arcs)
+
+
+def corruptions(rng, d, lab):
+    """The instance itself, then one corrupted copy of each kind that applies."""
+    yield d, lab
+    labels = dict(lab.assignment)
+    names = list(d.vertices)
+    if len(names) >= 2:
+        x, y = rng.sample(names, 2)
+        swapped = dict(labels)
+        swapped[x], swapped[y] = labels[y], labels[x]
+        yield d, Labeling(lab.alpha, lab.k, swapped)
+        duplicated = dict(labels)
+        duplicated[y] = labels[x]
+        yield d, Labeling(lab.alpha, lab.k, duplicated)
+    if d.arc_count:
+        dropped = list(d.arcs)
+        del dropped[rng.randrange(len(dropped))]
+        yield Digraph(names, dropped), lab
+    non_overlap = [(x, y) for x in names for y in names
+                   if labels[x][1:] != labels[y][:-1] and not d.has_arc(x, y)]
+    if non_overlap:
+        extra = list(d.arcs)
+        extra.insert(rng.randrange(len(extra) + 1), rng.choice(non_overlap))
+        yield Digraph(names, extra), lab
+
+
+def test_verifiers_match_reference_on_corrupted_instances():
+    rng = random.Random(31337)
+    outcomes = set()
+    for _ in range(300):
+        for d, lab in corruptions(rng, *_random_quasi_instance(rng)):
+            assert find_distinct_violation(d, lab) == reference_distinct(d, lab)
+            assert find_quasi_violation(d, lab) == reference_quasi(d, lab)
+            full = find_full_violation(d, lab)
+            assert full == reference_full(d, lab)
+            outcomes.add(full.split()[0] if full else None)
+    # every kind of first violation, and none, occurred
+    assert outcomes == {None, "vertices", "arc", "overlap"}

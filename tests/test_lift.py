@@ -1,7 +1,7 @@
 import pytest
 
 from dnagraph import (ConstructionFailure, InvalidInputError, InvalidParameterError,
-                      Labeling, WALK_SEP, format_label, is_dna_certificate,
+                      Labeling, ResourceLimitError, WALK_SEP, format_label, is_dna_certificate,
                       label_chorded_cycle, label_infinity_even, lift_m, lift_once,
                       line_digraph, make_dicycle, verify_full, verify_quasi)
 
@@ -77,6 +77,12 @@ def test_lift_m_zero_rejected():
     res = label_chorded_cycle(6)
     with pytest.raises(InvalidParameterError):
         lift_m(res.digraph, res.labeling, 0)
+
+
+def test_lift_m_vertex_cap():
+    res = label_chorded_cycle(12)
+    with pytest.raises(ResourceLimitError):
+        lift_m(res.digraph, res.labeling, 3, vertex_cap=10)
 
 
 def test_intermediates_kept_on_request():
