@@ -8,19 +8,19 @@ certificate mechanically, and cross-checks the constructions against an
 independent backtracking search oracle.
 """
 
-from .constructions import (CHORDED_ROWS, ConstructionResult, label_chorded_cycle,
-                            label_double_cycle, label_infinity_c3, label_infinity_even,
-                            label_infinity_odd, label_propeller, label_windmill,
-                            shrink_by_merge)
-from .digraph import (Digraph, FamilySpec, chords_of, format_digraph_text, isomorphic,
+from .constructions import (CHORDED_ROWS, CONSTRUCTIONS, ConstructionResult,
+                            label_chorded_cycle, label_double_cycle, label_infinity_c3,
+                            label_infinity_even, label_infinity_odd, label_propeller,
+                            label_windmill, shrink_by_merge)
+from .digraph import (FAMILIES, Digraph, chords_of, format_digraph_text, isomorphic,
                       iterated_line_digraph, line_digraph, make_chorded_cycle,
                       make_dicycle, make_dipath, make_infinity, make_ladder,
                       make_propeller3, make_windmill, parse_digraph_text, to_dot,
                       WALK_SEP)
 from .errors import (ConstructionFailure, DnaGraphError, InvalidInputError,
                      InvalidParameterError, ResourceLimitError, UnsupportedParameterError)
-from .labeling import (Label, Labeling, find_distinct_violation, find_full_violation,
-                       find_quasi_violation, format_label, format_labeling,
+from .labeling import (Label, Labeling, find_distinct_violation, find_dna_violation,
+                       find_full_violation, find_quasi_violation, format_label, format_labeling,
                        is_dna_certificate, overlap_merge, parse_labeling,
                        verify_distinct, verify_full, verify_quasi)
 from .lift import LiftedLabeling, lift_m, lift_once
@@ -33,13 +33,13 @@ from .sequencing import (NUCLEOTIDES, Spectrum, count_eulerian_paths, eulerian_p
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUDGET_EXCEEDED", "CHORDED_ROWS", "ConjectureRow", "ConstructionFailure",
-    "ConstructionResult", "Digraph", "DnaGraphError", "FamilySpec", "InvalidInputError",
+    "BUDGET_EXCEEDED", "CHORDED_ROWS", "CONSTRUCTIONS", "ConjectureRow", "ConstructionFailure",
+    "ConstructionResult", "Digraph", "DnaGraphError", "FAMILIES", "InvalidInputError",
     "InvalidParameterError", "Label", "Labeling", "LiftedLabeling", "NUCLEOTIDES",
     "ResourceLimitError", "SAT", "SearchConfig", "SearchOutcome", "Spectrum", "UNSAT",
     "UnsupportedParameterError", "WALK_SEP", "check_middle_vertex_lemma", "chords_of",
     "count_eulerian_paths", "eulerian_path", "explore_conjecture", "find_distinct_violation",
-    "find_full_violation", "find_labeling", "find_quasi_violation",
+    "find_dna_violation", "find_full_violation", "find_labeling", "find_quasi_violation",
     "format_digraph_text", "format_label", "format_labeling", "hamiltonian_via_line",
     "is_dna_certificate", "isomorphic", "iterated_line_digraph", "label_chorded_cycle",
     "label_double_cycle", "label_infinity_c3", "label_infinity_even",

@@ -9,14 +9,12 @@ import argparse
 import sys
 
 from . import acceptance
-from .constructions import (label_chorded_cycle, label_double_cycle, label_infinity_c3,
-                            label_infinity_even, label_infinity_odd, label_propeller,
-                            label_windmill)
-from .digraph import (FamilySpec, format_digraph_text, isomorphic, line_digraph,
+from .constructions import CONSTRUCTIONS
+from .digraph import (FAMILIES, format_digraph_text, isomorphic, line_digraph,
                       parse_digraph_text, to_dot)
 from .errors import DnaGraphError, InvalidParameterError
-from .labeling import (find_full_violation, find_quasi_violation, format_labeling,
-                       parse_labeling)
+from .labeling import (find_dna_violation, find_full_violation, find_quasi_violation,
+                       format_labeling, parse_labeling)
 from .lift import lift_m
 from .search import (SAT, SearchConfig, default_node_budget, explore_conjecture,
                      find_labeling)
@@ -24,15 +22,7 @@ from .sequencing import (count_eulerian_paths, eulerian_path, hamiltonian_via_li
                          pevzner_arc_labels, sample_pevzner_graph, spell_eulerian,
                          to_nucleotides)
 
-CONSTRUCTIONS = {
-    "chorded-cycle": (("n",), lambda a: label_chorded_cycle(a.n)),
-    "infinity-even": (("n", "p"), lambda a: label_infinity_even(a.n, a.p)),
-    "infinity-odd": (("n", "p"), lambda a: label_infinity_odd(a.n, a.p)),
-    "infinity-c3": (("p",), lambda a: label_infinity_c3(a.p)),
-    "double-cycle": (("n",), lambda a: label_double_cycle(a.n)),
-    "windmill": (("n",), lambda a: label_windmill(a.n)),
-    "propeller3": (("n", "p", "q"), lambda a: label_propeller(a.n, a.p, a.q)),
-}
+VERIFIERS = {"quasi": find_quasi_violation, "full": find_full_violation, "dna": find_dna_violation}
 
 
 def _read(path: str) -> str:
@@ -58,9 +48,18 @@ def _load_pair(args):
     return d, lab
 
 
+def _build(table: dict, flag: str, args):
+    """Call the table entry args.<flag> names with the parameters it needs."""
+    name = getattr(args, flag)
+    required, make = table[name]
+    missing = [p for p in required if getattr(args, p) is None]
+    if missing:
+        raise InvalidParameterError(f"--{flag} {name} needs --" + " --".join(missing))
+    return make(*(getattr(args, p) for p in required))
+
+
 def _cmd_gen(args, out) -> int:
-    spec = FamilySpec(args.family, args.n, args.p, args.q)
-    d = spec.build()
+    d = _build(FAMILIES, "family", args)
     _emit(format_digraph_text(d), args.out, out)
     if args.dot:
         _write(args.dot, to_dot(d))
@@ -68,12 +67,7 @@ def _cmd_gen(args, out) -> int:
 
 
 def _cmd_label(args, out) -> int:
-    required, builder = CONSTRUCTIONS[args.construction]
-    missing = [name for name in required if getattr(args, name) is None]
-    if missing:
-        raise InvalidParameterError(
-            f"--construction {args.construction} needs --" + " --".join(missing))
-    result = builder(args)
+    result = _build(CONSTRUCTIONS, "construction", args)
     if args.out_digraph:
         _write(args.out_digraph, format_digraph_text(result.digraph))
     if args.dot:
@@ -93,14 +87,7 @@ def _cmd_lift(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     d, lab = _load_pair(args)
-    if args.mode == "quasi":
-        bad = find_quasi_violation(d, lab)
-    elif args.mode == "full":
-        bad = find_full_violation(d, lab)
-    else:  # dna
-        bad = find_full_violation(d, lab)
-        if bad is None and lab.alpha > 4:
-            bad = f"alphabet size {lab.alpha} exceeds the four nucleotides"
+    bad = VERIFIERS[args.mode](d, lab)
     if bad is None:
         out.write(f"ok: labeling is {args.mode}-valid\n")
         return 0
@@ -110,7 +97,7 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_search(args, out) -> int:
     d = parse_digraph_text(_read(args.digraph))
-    cfg = SearchConfig(args.alpha, args.k, args.mode, args.budget, args.order)
+    cfg = SearchConfig(args.alpha, args.k, args.mode, args.budget)
     outcome = find_labeling(d, cfg)
     out.write(f"{d.vertex_count} {args.alpha} {args.k} {outcome.verdict} {outcome.nodes_explored}\n")
     if outcome.verdict == SAT and args.out_labeling:
@@ -121,7 +108,7 @@ def _cmd_search(args, out) -> int:
 def _cmd_iso(args, out) -> int:
     a = parse_digraph_text(_read(args.first))
     b = parse_digraph_text(_read(args.second))
-    result = isomorphic(a, b, size_cap=args.cap)
+    result = isomorphic(a, b)
     out.write("isomorphic\n" if result else "not isomorphic\n")
     return 0 if result else 1
 
@@ -177,19 +164,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     gen = sub.add_parser("gen", help="generate a digraph family member")
-    gen.add_argument("--family", required=True, choices=FamilySpec.KINDS)
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--p", type=int)
-    gen.add_argument("--q", type=int)
+    gen.add_argument("--family", required=True, choices=tuple(FAMILIES))
+    for name in ("n", "p", "q"):
+        gen.add_argument(f"--{name}", type=int)
     gen.add_argument("--out", help="write digraph text here instead of stdout")
     gen.add_argument("--dot", help="also write a DOT rendering")
     gen.set_defaults(func=_cmd_gen)
 
     lab = sub.add_parser("label", help="emit a catalogued quasi-labeling")
     lab.add_argument("--construction", required=True, choices=sorted(CONSTRUCTIONS))
-    lab.add_argument("--n", type=int)
-    lab.add_argument("--p", type=int)
-    lab.add_argument("--q", type=int)
+    for name in ("n", "p", "q"):
+        lab.add_argument(f"--{name}", type=int)
     lab.add_argument("--out-digraph")
     lab.add_argument("--out-labeling")
     lab.add_argument("--dot")
@@ -204,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     lift.set_defaults(func=_cmd_lift)
 
     ver = sub.add_parser("verify", help="verify a labeling against a digraph")
-    ver.add_argument("--mode", choices=("quasi", "full", "dna"), default="quasi")
+    ver.add_argument("--mode", choices=tuple(VERIFIERS), default="quasi")
     ver.add_argument("--digraph", required=True)
     ver.add_argument("--labeling", required=True)
     ver.set_defaults(func=_cmd_verify)
@@ -214,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--k", type=int, required=True)
     sea.add_argument("--mode", choices=("quasi", "full"), default="quasi")
     sea.add_argument("--budget", type=int)
-    sea.add_argument("--order", choices=("mcs", "given"), default="mcs")
     sea.add_argument("--digraph", required=True)
     sea.add_argument("--out-labeling")
     sea.set_defaults(func=_cmd_search)
@@ -222,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     iso = sub.add_parser("iso", help="decide digraph isomorphism")
     iso.add_argument("--first", required=True)
     iso.add_argument("--second", required=True)
-    iso.add_argument("--cap", type=int, default=12)
     iso.set_defaults(func=_cmd_iso)
 
     seq = sub.add_parser("sequence", help="spell the spectrum of a labeled digraph")
@@ -263,10 +246,7 @@ def main(argv=None, out=None, err=None) -> int:
     except DnaGraphError as exc:
         err.write(f"error: {exc}\n")
         return 1
-    except FileNotFoundError as exc:
-        err.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return 2
 

@@ -20,12 +20,6 @@ from .errors import (ConstructionFailure, InvalidInputError, InvalidParameterErr
                      UnsupportedParameterError)
 from .labeling import Label, Labeling, find_quasi_violation
 
-KNOWN_TAGS = frozenset({
-    "chorded-cycle", "infinity-even", "infinity-odd", "infinity-c3",
-    "double-cycle", "windmill", "propeller3",
-})
-
-
 @dataclass(frozen=True)
 class ConstructionResult:
     """A digraph together with the quasi-labeling certifying it."""
@@ -35,7 +29,7 @@ class ConstructionResult:
     tag: str
 
     def __post_init__(self):
-        if self.tag not in KNOWN_TAGS:
+        if self.tag not in CONSTRUCTIONS:
             raise InvalidParameterError(f"unknown construction tag {self.tag!r}")
 
 
@@ -366,3 +360,15 @@ def shrink_by_merge(result: ConstructionResult, target_p: int) -> ConstructionRe
     forbidden = frozenset(v_labels) - {v_labels[1]}
     shrunk = _shrink_string(u_string, lab.k, target_p, forbidden, rightmost=n >= 6)
     return _assemble_infinity(n, target_p, v_labels, shrunk, lab.k, result.tag)
+
+
+# construction tag -> (parameters label_* takes, in order; label_*)
+CONSTRUCTIONS = {
+    "chorded-cycle": (("n",), label_chorded_cycle),
+    "infinity-even": (("n", "p"), label_infinity_even),
+    "infinity-odd": (("n", "p"), label_infinity_odd),
+    "infinity-c3": (("p",), label_infinity_c3),
+    "double-cycle": (("n",), label_double_cycle),
+    "windmill": (("n",), label_windmill),
+    "propeller3": (("n", "p", "q"), label_propeller),
+}

@@ -10,7 +10,7 @@ searches, and golden tests deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import chain
 
 from .errors import InvalidParameterError, ResourceLimitError
@@ -149,15 +149,14 @@ def make_chorded_cycle(n: int) -> Digraph:
     return Digraph(vs, arcs)
 
 
+def middle_vertices(d: Digraph, tail: str, head: str) -> Iterator[str]:
+    """Vertices b, other than tail and head, on a directed 2-path tail -> b -> head."""
+    return (b for b in d.out_neighbors(tail) if b not in (tail, head) and d.has_arc(b, head))
+
+
 def chords_of(d: Digraph) -> tuple[tuple[str, str], ...]:
     """Arcs of d whose endpoints are joined by a directed 2-path (the chords)."""
-    out = []
-    for tail, head in d.arcs:
-        for mid in d.out_neighbors(tail):
-            if mid not in (tail, head) and d.has_arc(mid, head):
-                out.append((tail, head))
-                break
-    return tuple(out)
+    return tuple(arc for arc in d.arcs if next(middle_vertices(d, *arc), None) is not None)
 
 
 def make_infinity(n: int, p: int) -> Digraph:
@@ -213,37 +212,16 @@ def make_ladder(n: int) -> Digraph:
     return Digraph(top + bot, arcs)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parsed description of one digraph family instance."""
-
-    kind: str
-    n: int
-    p: int | None = None
-    q: int | None = None
-
-    KINDS = ("dipath", "dicycle", "chorded-cycle", "infinity", "propeller3", "windmill", "ladder")
-
-    def build(self) -> Digraph:
-        if self.kind == "dipath":
-            return make_dipath(self.n)
-        if self.kind == "dicycle":
-            return make_dicycle(self.n)
-        if self.kind == "chorded-cycle":
-            return make_chorded_cycle(self.n)
-        if self.kind == "infinity":
-            if self.p is None:
-                raise InvalidParameterError("infinity family needs p")
-            return make_infinity(self.n, self.p)
-        if self.kind == "propeller3":
-            if self.p is None or self.q is None:
-                raise InvalidParameterError("propeller3 family needs p and q")
-            return make_propeller3(self.n, self.p, self.q)
-        if self.kind == "windmill":
-            return make_windmill(self.n)
-        if self.kind == "ladder":
-            return make_ladder(self.n)
-        raise InvalidParameterError(f"unknown family kind {self.kind!r}")
+# family name -> (parameters make_* takes, in order; make_*)
+FAMILIES = {
+    "dipath": (("n",), make_dipath),
+    "dicycle": (("n",), make_dicycle),
+    "chorded-cycle": (("n",), make_chorded_cycle),
+    "infinity": (("n", "p"), make_infinity),
+    "propeller3": (("n", "p", "q"), make_propeller3),
+    "windmill": (("n",), make_windmill),
+    "ladder": (("n",), make_ladder),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +265,14 @@ def iterated_line_digraph(d: Digraph, m: int, vertex_cap: int = LINE_VERTEX_CAP)
 # isomorphism (desk scale)
 # ---------------------------------------------------------------------------
 
-def isomorphic(a: Digraph, b: Digraph, size_cap: int = ISO_SIZE_CAP) -> bool:
+def isomorphic(a: Digraph, b: Digraph) -> bool:
     """Decide whether an arc-preserving vertex bijection a -> b exists.
 
     Plain backtracking over in/out-degree-compatible assignments; all
     instances this library needs are tiny, so no canonical-form machinery.
     """
-    if a.vertex_count > size_cap or b.vertex_count > size_cap:
-        raise ResourceLimitError(f"isomorphism check capped at {size_cap} vertices")
+    if a.vertex_count > ISO_SIZE_CAP or b.vertex_count > ISO_SIZE_CAP:
+        raise ResourceLimitError(f"isomorphism check capped at {ISO_SIZE_CAP} vertices")
     if a.vertex_count != b.vertex_count or a.arc_count != b.arc_count:
         return False
 

@@ -154,9 +154,18 @@ def verify_full(d: Digraph, lab: Labeling) -> bool:
     return find_full_violation(d, lab) is None
 
 
+def find_dna_violation(d: Digraph, lab: Labeling) -> str | None:
+    """First reason lab does not certify d as a DNA graph, or None: the full
+    violation if there is one, else an alphabet larger than four."""
+    bad = find_full_violation(d, lab)
+    if bad is None and lab.alpha > 4:
+        return f"alphabet size {lab.alpha} exceeds the four nucleotides"
+    return bad
+
+
 def is_dna_certificate(d: Digraph, lab: Labeling) -> bool:
     """True iff lab is a full labeling of d over an alphabet of at most four."""
-    return lab.alpha <= 4 and verify_full(d, lab)
+    return find_dna_violation(d, lab) is None
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +189,9 @@ def parse_labeling(text: str) -> Labeling:
     if len(header) != 2:
         raise InvalidInputError("labeling text must start with a header line 'alpha k'")
     alpha, k = int(header[0]), int(header[1])
-    assignment: dict[str, Label] = {}
+    # symbols stay strings here, Labeling converts each one once; a tuple
+    # holds them in less memory than the list split returns
+    assignment: dict[str, tuple[str, ...]] = {}
     for row in rows[1:]:
         name, _, symbols = row.partition("\t")
         if not symbols:
@@ -189,5 +200,5 @@ def parse_labeling(text: str) -> Labeling:
         name = name.strip()
         if name in assignment:
             raise InvalidInputError(f"vertex {name} labeled twice")
-        assignment[name] = tuple(map(int, symbols.split()))
+        assignment[name] = tuple(symbols.split())
     return Labeling(alpha, k, assignment)

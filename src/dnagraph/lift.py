@@ -22,8 +22,7 @@ class LiftedLabeling:
     """Result of m lift steps, keeping the base and final pair.
 
     vertex_counts records |V| of every stage (base first), so growth claims
-    can be checked without retaining the intermediate digraphs; those are
-    kept only on request.
+    can be checked without retaining the intermediate digraphs.
     """
 
     base_digraph: Digraph
@@ -32,7 +31,6 @@ class LiftedLabeling:
     result_digraph: Digraph
     result_labeling: Labeling
     vertex_counts: tuple[int, ...]
-    intermediates: tuple[tuple[Digraph, Labeling], ...] | None = None
 
 
 def lift_once(d: Digraph, lab: Labeling) -> tuple[Digraph, Labeling]:
@@ -52,14 +50,12 @@ def lift_once(d: Digraph, lab: Labeling) -> tuple[Digraph, Labeling]:
     return lifted, lifted_lab
 
 
-def lift_m(d: Digraph, lab: Labeling, m: int, keep_intermediates: bool = False,
-           vertex_cap: int = LINE_VERTEX_CAP) -> LiftedLabeling:
+def lift_m(d: Digraph, lab: Labeling, m: int, vertex_cap: int = LINE_VERTEX_CAP) -> LiftedLabeling:
     """Apply lift_once m times (m >= 1), refusing a step that would build more
     than vertex_cap vertices."""
     if m < 1:
         raise InvalidParameterError("lift count m must be >= 1")
     counts = [d.vertex_count]
-    kept: list[tuple[Digraph, Labeling]] = []
     cur_d, cur_lab = d, lab
     for _ in range(m):
         if cur_d.arc_count > vertex_cap:
@@ -67,8 +63,6 @@ def lift_m(d: Digraph, lab: Labeling, m: int, keep_intermediates: bool = False,
                 f"next lift would create {cur_d.arc_count} vertices, cap is {vertex_cap}")
         cur_d, cur_lab = lift_once(cur_d, cur_lab)
         counts.append(cur_d.vertex_count)
-        if keep_intermediates:
-            kept.append((cur_d, cur_lab))
     return LiftedLabeling(
         base_digraph=d,
         base_labeling=lab,
@@ -76,5 +70,4 @@ def lift_m(d: Digraph, lab: Labeling, m: int, keep_intermediates: bool = False,
         result_digraph=cur_d,
         result_labeling=cur_lab,
         vertex_counts=tuple(counts),
-        intermediates=tuple(kept) if keep_intermediates else None,
     )

@@ -16,7 +16,7 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .digraph import Digraph, make_ladder
+from .digraph import Digraph, make_ladder, middle_vertices
 from .errors import ConstructionFailure, InvalidParameterError, ResourceLimitError
 from .labeling import Label, Labeling, find_full_violation, find_quasi_violation
 
@@ -34,7 +34,6 @@ class SearchConfig:
     k: int
     mode: str = "quasi"
     node_budget: int = DEFAULT_NODE_BUDGET
-    order: str = "mcs"
 
     def __post_init__(self):
         if self.alpha < 2:
@@ -45,8 +44,6 @@ class SearchConfig:
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
         if self.node_budget <= 0:
             raise InvalidParameterError("node budget must be positive")
-        if self.order not in ("mcs", "given"):
-            raise InvalidParameterError(f"unknown order policy {self.order!r}")
 
 
 @dataclass(frozen=True)
@@ -72,13 +69,10 @@ def default_node_budget() -> int:
         raise InvalidParameterError(f"DNAGRAPH_BUDGET must be an integer, got {raw!r}") from None
 
 
-def _vertex_order(d: Digraph, policy: str) -> list[str]:
-    """Decision order: ``given`` keeps vertex order; ``mcs`` starts at the
-    first vertex of maximum out-degree, then takes the undecided vertex with
-    the most decided in- and out-neighbors, ties going to the vertex whose
-    count rose last, then to vertex order."""
-    if policy == "given":
-        return list(d.vertices)
+def _vertex_order(d: Digraph) -> list[str]:
+    """Decision order: start at the first vertex of maximum out-degree, then
+    take the undecided vertex with the most decided in- and out-neighbors,
+    ties going to the vertex whose count rose last, then to vertex order."""
     weight = dict.fromkeys(d.vertices, 0)  # undecided vertices, in vertex order
     touched = dict.fromkeys(d.vertices, -1)
     v = max(d.vertices, key=d.out_degree)
@@ -117,18 +111,18 @@ def _canonical_first_labels(alpha: int, k: int) -> list[Label]:
     return out
 
 
-def find_labeling(d: Digraph, cfg: SearchConfig, size_cap: int = SEARCH_SIZE_CAP) -> SearchOutcome:
+def find_labeling(d: Digraph, cfg: SearchConfig) -> SearchOutcome:
     """Exhaustive (up to budget) search for a quasi or full (alpha,k)-labeling.
 
     SAT always comes with a certificate that has been re-checked by the
     matching verifier; UNSAT is only reported after the whole tree was
     exhausted, never on budget exhaustion.
     """
-    if d.vertex_count > size_cap:
-        raise ResourceLimitError(f"search capped at {size_cap} vertices")
+    if d.vertex_count > SEARCH_SIZE_CAP:
+        raise ResourceLimitError(f"search capped at {SEARCH_SIZE_CAP} vertices")
     if d.vertex_count == 0:
         return SearchOutcome(SAT, Labeling(cfg.alpha, cfg.k, {}), 0)
-    order = _vertex_order(d, cfg.order)
+    order = _vertex_order(d)
     alpha, k, full = cfg.alpha, cfg.k, cfg.mode == "full"
 
     assigned: dict[str, Label] = {}
@@ -236,14 +230,8 @@ def check_middle_vertex_lemma(d: Digraph, lab: Labeling) -> bool:
     behind the impossibility bound for chorded cycles, checked here
     directly on a given labeling.
     """
-    for tail, head in d.arcs:
-        for mid in d.out_neighbors(tail):
-            if mid in (tail, head) or not d.has_arc(mid, head):
-                continue
-            label = lab.label_of(mid)
-            if any(s != label[0] for s in label):
-                return False
-    return True
+    return all(len(set(lab.label_of(mid))) == 1
+               for tail, head in d.arcs for mid in middle_vertices(d, tail, head))
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +247,16 @@ class ConjectureRow:
     nodes: int
 
 
-def explore_conjecture(n_values, node_budget: int = DEFAULT_NODE_BUDGET,
-                       mode: str = "full") -> list[ConjectureRow]:
+def explore_conjecture(n_values, node_budget: int = DEFAULT_NODE_BUDGET) -> list[ConjectureRow]:
     """Probe ladders P2 x Pn for full labelings at alpha in {3,4}, k = 4,
     falling back to k = 5 whenever k = 4 does not come back SAT."""
     rows: list[ConjectureRow] = []
     for n in n_values:
         ladder = make_ladder(n)
         for alpha in (3, 4):
-            outcome = find_labeling(ladder, SearchConfig(alpha, 4, mode, node_budget))
+            outcome = find_labeling(ladder, SearchConfig(alpha, 4, "full", node_budget))
             rows.append(ConjectureRow(n, alpha, 4, outcome.verdict, outcome.nodes_explored))
             if outcome.verdict != SAT:
-                outcome = find_labeling(ladder, SearchConfig(alpha, 5, mode, node_budget))
+                outcome = find_labeling(ladder, SearchConfig(alpha, 5, "full", node_budget))
                 rows.append(ConjectureRow(n, alpha, 5, outcome.verdict, outcome.nodes_explored))
     return rows

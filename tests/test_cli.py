@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from dnagraph import cli
+from dnagraph import (CONSTRUCTIONS, FAMILIES, cli, format_digraph_text, format_labeling)
 
 
 def run_with_err(argv):
@@ -38,6 +38,41 @@ def test_gen_stdout_deterministic():
 def test_gen_invalid_parameter_is_usage_error():
     code, out, err = run_with_err(["gen", "--family", "dicycle", "--n", "1"])
     assert code == 2 and "error" in err and out == ""
+
+
+# the smallest valid member of every catalogue entry
+SMALLEST_FAMILIES = {
+    "dipath": {"n": 2}, "dicycle": {"n": 2}, "chorded-cycle": {"n": 4},
+    "infinity": {"n": 3, "p": 3}, "propeller3": {"n": 3, "p": 3, "q": 3},
+    "windmill": {"n": 3}, "ladder": {"n": 2},
+}
+SMALLEST_CONSTRUCTIONS = {
+    "chorded-cycle": {"n": 6}, "infinity-even": {"n": 4, "p": 4},
+    "infinity-odd": {"n": 5, "p": 5}, "infinity-c3": {"p": 4}, "double-cycle": {"n": 3},
+    "windmill": {"n": 3}, "propeller3": {"n": 4, "p": 4, "q": 4},
+}
+
+
+def test_catalogue_tables_build_through_cli():
+    for verb, flag, table, smallest, render in (
+            ("gen", "family", FAMILIES, SMALLEST_FAMILIES, format_digraph_text),
+            ("label", "construction", CONSTRUCTIONS, SMALLEST_CONSTRUCTIONS,
+             lambda result: format_labeling(result.labeling))):
+        assert set(smallest) == set(table)
+        for name, params in smallest.items():
+            required, make = table[name]
+            assert required == tuple(params)
+            argv = [verb, f"--{flag}", name]
+            for param, value in params.items():
+                argv += [f"--{param}", str(value)]
+            code, out, err = run_with_err(argv)
+            assert code == 0 and err == "", (argv, err)
+            assert out == render(make(*params.values()))
+    for argv, flag in ((["gen", "--family", "infinity", "--n", "4"], "--family infinity"),
+                       (["label", "--construction", "infinity-c3"], "--construction infinity-c3")):
+        code, out, err = run_with_err(argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} needs --p\n"
 
 
 def test_label_missing_parameter_is_usage_error():
@@ -83,6 +118,34 @@ def test_lifted_isolated_vertex_is_readable(tmp_path):
     assert g2.read_text() == "1 0\nv1→v2\n"
     code, out = run(["verify", "--mode", "full", "--digraph", str(g2), "--labeling", str(l2)])
     assert code == 0 and out == "ok: labeling is full-valid\n"
+
+
+def _dicycle_labeling(tmp_path, labeling_text):
+    g = tmp_path / "g.txt"
+    l = tmp_path / "l.txt"
+    run(["gen", "--family", "dicycle", "--n", str(labeling_text.count("\n") - 1),
+         "--out", str(g)])
+    l.write_text(labeling_text)
+    return str(g), str(l)
+
+
+@pytest.mark.parametrize("labeling, line", [
+    # full, but over five symbols
+    ("5 2\nv1\t1 2\nv2\t2 1\n", "violation: alphabet size 5 exceeds the four nucleotides\n"),
+    # quasi-valid, not full (v1 overlaps itself), and over five symbols: the full violation wins
+    ("5 2\nv1\t1 1\nv2\t1 2\nv3\t2 1\n",
+     "violation: overlap pair v1, v1 (shared window 1) is not an arc\n"),
+], ids=["full-over-five-symbols", "breaks-both-rules"])
+def test_verify_dna_stdout(tmp_path, labeling, line):
+    g, l = _dicycle_labeling(tmp_path, labeling)
+    assert run(["verify", "--mode", "dna", "--digraph", g, "--labeling", l]) == (1, line)
+
+
+def test_non_integer_symbol_is_usage_error(tmp_path):
+    g, l = _dicycle_labeling(tmp_path, "2 2\nv1\t1 x\nv2\t2 1\n")
+    code, out, err = run_with_err(["verify", "--digraph", g, "--labeling", l])
+    assert code == 2 and out == ""
+    assert err == "error: invalid literal for int() with base 10: 'x'\n"
 
 
 def test_verify_reports_first_violation(tmp_path):
@@ -194,3 +257,10 @@ def test_missing_file_exit_2(tmp_path):
     code, out = run(["verify", "--digraph", str(tmp_path / "nope.txt"),
                      "--labeling", str(tmp_path / "nope2.txt")])
     assert code == 2
+
+
+def test_directory_path_exit_2(tmp_path):
+    code, out, err = run_with_err(["verify", "--digraph", str(tmp_path),
+                                   "--labeling", str(tmp_path / "x")])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -85,23 +85,25 @@ def test_lift_m_vertex_cap():
         lift_m(res.digraph, res.labeling, 3, vertex_cap=10)
 
 
-def test_intermediates_kept_on_request():
+def test_lift_m_is_repeated_lift_once():
     res = label_chorded_cycle(6)
-    out = lift_m(res.digraph, res.labeling, 2, keep_intermediates=True)
-    assert out.intermediates is not None and len(out.intermediates) == 2
-    first_d, first_lab = out.intermediates[0]
+    first_d, first_lab = lift_once(res.digraph, res.labeling)
     assert first_d == line_digraph(res.digraph)
     assert verify_quasi(first_d, first_lab)
-    default = lift_m(res.digraph, res.labeling, 2)
-    assert default.intermediates is None
+    second = lift_once(first_d, first_lab)
+    out = lift_m(res.digraph, res.labeling, 2)
+    assert (out.result_digraph, out.result_labeling) == second
 
 
 def test_stage_vertex_count_equals_predecessor_arc_count():
     res = label_chorded_cycle(9)
-    out = lift_m(res.digraph, res.labeling, 3, keep_intermediates=True)
-    stages = [res.digraph] + [d for d, _ in out.intermediates]
-    for before, after in zip(stages, stages[1:]):
+    stages = [(res.digraph, res.labeling)]
+    for _ in range(3):
+        stages.append(lift_once(*stages[-1]))
+    for (before, _), (after, _) in zip(stages, stages[1:]):
         assert after.vertex_count == before.arc_count
+    out = lift_m(res.digraph, res.labeling, 3)
+    assert out.vertex_counts == tuple(d.vertex_count for d, _ in stages)
     assert out.result_labeling.k == res.labeling.k + 3
 
 

@@ -6,14 +6,23 @@ from dnagraph import (BUDGET_EXCEEDED, Digraph, InvalidParameterError, Labeling,
                       ResourceLimitError, SAT, SearchConfig, UNSAT,
                       check_middle_vertex_lemma, explore_conjecture, find_labeling,
                       label_chorded_cycle, make_chorded_cycle, make_dicycle,
-                      make_ladder, verify_full, verify_quasi)
+                      make_ladder, search, verify_full, verify_quasi)
+
+
+def both_orders(d, cfg):
+    """Outcomes of the search under its decision order and under the
+    reference order that decides the vertices as the digraph lists them."""
+    decided = find_labeling(d, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_vertex_order", lambda g: list(g.vertices))
+        given = find_labeling(d, cfg)
+    return decided, given
 
 
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(alpha=1, k=3), dict(alpha=2, k=1),
         dict(alpha=2, k=2, mode="weird"), dict(alpha=2, k=2, node_budget=0),
-        dict(alpha=2, k=2, order="random"),
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(InvalidParameterError):
@@ -40,8 +49,7 @@ class TestFindLabeling:
     def test_small_full_unsat_both_orders(self):
         # a full (2,2)-labeling of C4 would need all four words incl. the
         # constant ones, whose self-overlap demands a loop
-        for order in ("mcs", "given"):
-            out = find_labeling(make_dicycle(4), SearchConfig(2, 2, "full", order=order))
+        for out in both_orders(make_dicycle(4), SearchConfig(2, 2, "full")):
             assert out.verdict == UNSAT
 
     def test_chorded_15_unsat_exhaustively(self):
@@ -63,24 +71,27 @@ class TestFindLabeling:
 
     def test_size_cap(self):
         with pytest.raises(ResourceLimitError):
-            find_labeling(make_dicycle(9), SearchConfig(2, 2), size_cap=8)
+            find_labeling(make_dicycle(search.SEARCH_SIZE_CAP + 1), SearchConfig(2, 2))
 
     def test_verdict_independent_of_order(self):
         rng = random.Random(2018)
         checks = {"quasi": verify_quasi, "full": verify_full}
+        node_counts_differ = 0
         for _ in range(200):
             n = rng.randint(1, 8)
             names = [f"v{i}" for i in range(n)]
             arcs = [(u, w) for u in names for w in names if rng.random() < 0.25]
             d = Digraph(names, arcs)
             alpha, k, mode = rng.choice((2, 3)), rng.choice((2, 3)), rng.choice(tuple(checks))
-            verdicts = set()
-            for order in ("mcs", "given"):
-                out = find_labeling(d, SearchConfig(alpha, k, mode, order=order))
-                verdicts.add(out.verdict)
+            outcomes = both_orders(d, SearchConfig(alpha, k, mode))
+            for out in outcomes:
                 if out.verdict == SAT:
                     assert checks[mode](d, out.certificate)
+            verdicts = {out.verdict for out in outcomes}
             assert len(verdicts) == 1, (arcs, alpha, k, mode, verdicts)
+            node_counts_differ += len({out.nodes_explored for out in outcomes}) > 1
+        # the reference order really was in use
+        assert node_counts_differ > 0
 
     def test_oracle_agrees_with_catalogue(self):
         for n in (6, 11, 14):
