@@ -11,7 +11,7 @@ independent backtracking search oracle.
 from .constructions import (CHORDED_ROWS, CONSTRUCTIONS, ConstructionResult,
                             label_chorded_cycle, label_double_cycle, label_infinity_c3,
                             label_infinity_even, label_infinity_odd, label_propeller,
-                            label_windmill, shrink_by_merge)
+                            label_windmill)
 from .digraph import (FAMILIES, Digraph, chords_of, format_digraph_text, isomorphic,
                       iterated_line_digraph, line_digraph, make_chorded_cycle,
                       make_dicycle, make_dipath, make_infinity, make_ladder,
@@ -47,6 +47,6 @@ __all__ = [
     "line_digraph", "make_chorded_cycle", "make_dicycle", "make_dipath",
     "make_infinity", "make_ladder", "make_propeller3", "make_windmill", "overlap_merge",
     "parse_digraph_text", "parse_labeling", "pevzner_arc_labels", "sample_pevzner_graph",
-    "shrink_by_merge", "spell_eulerian", "to_dot", "to_nucleotides", "verify_distinct",
+    "spell_eulerian", "to_dot", "to_nucleotides", "verify_distinct",
     "verify_full", "verify_quasi",
 ]

@@ -267,9 +267,9 @@ def criterion_sbh_pipeline() -> str:
     d, lab = sample_pevzner_graph()
     path = eulerian_path(d, start="TA")
     assert path is not None
-    assert spell_eulerian(d, lab, path) == "TACGACTA"
-    spectrum = hamiltonian_via_line(d, lab, start="TA")
-    assert spectrum is not None and spectrum.sequence == "TACGACTA"
+    assert spell_eulerian(lab, path) == "TACGACTA"
+    spectrum = hamiltonian_via_line(d, lab, path)
+    assert spectrum.sequence == "TACGACTA"
     lysov = line_digraph(d)
     assert sorted(spectrum.source_path) == sorted(lysov.vertices)
     expected_lysov = Digraph(

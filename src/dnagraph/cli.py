@@ -18,9 +18,9 @@ from .labeling import (find_dna_violation, find_full_violation, find_quasi_viola
 from .lift import lift_m
 from .search import (SAT, SearchConfig, default_node_budget, explore_conjecture,
                      find_labeling)
-from .sequencing import (count_eulerian_paths, eulerian_path, hamiltonian_via_line,
-                         pevzner_arc_labels, sample_pevzner_graph, spell_eulerian,
-                         to_nucleotides)
+from .sequencing import (PATH_COUNT_CAP, count_eulerian_paths, eulerian_path,
+                         hamiltonian_via_line, pevzner_arc_labels, sample_pevzner_graph,
+                         spell_eulerian, to_nucleotides)
 
 VERIFIERS = {"quasi": find_quasi_violation, "full": find_full_violation, "dna": find_dna_violation}
 
@@ -132,12 +132,13 @@ def _cmd_sequence(args, out) -> int:
         out.write("no eulerian path\n")
         return 1
     out.write("eulerian path: " + " ".join(f"{t}>{h}" for t, h in path) + "\n")
-    spectrum = hamiltonian_via_line(d, lab, args.start)
+    spectrum = hamiltonian_via_line(d, lab, path)
     out.write("hamiltonian path: " + " ".join(spectrum.source_path) + "\n")
-    out.write(f"spectrum (eulerian): {spell_eulerian(d, lab, path)}\n")
+    out.write(f"spectrum (eulerian): {spell_eulerian(lab, path)}\n")
     out.write(f"spectrum (line digraph): {spectrum.sequence}\n")
-    paths = count_eulerian_paths(d, args.start)
-    out.write(f"distinct eulerian paths from this start: {paths}\n")
+    paths = count_eulerian_paths(d, path)
+    bound = "at least " if paths >= PATH_COUNT_CAP else ""
+    out.write(f"distinct eulerian paths from this start: {bound}{paths}\n")
     if args.dot:
         _write(args.dot, to_dot(line_digraph(d)))
     return 0

@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digraph import Digraph, make_chorded_cycle, make_infinity, make_propeller3
-from .errors import (ConstructionFailure, InvalidInputError, InvalidParameterError,
-                     UnsupportedParameterError)
+from .errors import ConstructionFailure, InvalidParameterError, UnsupportedParameterError
 from .labeling import Label, Labeling, find_quasi_violation
 
 @dataclass(frozen=True)
@@ -114,22 +113,25 @@ def _blade_star(length: int, j: int, k: int) -> tuple[int, ...]:
     return (j + 1,) + (1,) * m + (2,) + (j + 1,) * tail
 
 
-def _blade_labels(length: int, j: int, k: int, star: bool) -> list[Label]:
-    s = _blade_star(length, j, k) if star else _blade_plain(length, j, k)
-    return _windows(s, k)
+def _label_blades(d: Digraph, lengths: tuple[int, ...], alpha: int,
+                  tag: str) -> ConstructionResult:
+    """Label the blades v, u, w (in that order) of a glued digraph at one k.
 
-
-def _assemble_blades(d: Digraph, blades: dict[str, list[Label]], alpha: int, k: int,
-                     tag: str) -> ConstructionResult:
-    """Map per-blade window lists onto the glued digraph's vertex names."""
-    shared = {prefix: labels[1] for prefix, labels in blades.items()}
+    Every blade is labeled either at ceil(L/2) (plain string) or at
+    ceil(L/2)+1 (longer string), and all blades must agree, so
+    k = max over blades of ceil(L/2).
+    """
+    k = max(_ceil_half(length) for length in lengths)
+    shared: dict[str, Label] = {}
+    assignment: dict[str, Label] = {}
+    for j, (prefix, length) in enumerate(zip("vuw", lengths), start=1):
+        blade = _blade_plain if _ceil_half(length) == k else _blade_star
+        labels = _windows(blade(length, j, k), k)
+        shared[prefix] = labels[1]
+        for i, label in enumerate(labels, start=1):
+            assignment["v2" if i == 2 else f"{prefix}{i}"] = label
     if len(set(shared.values())) != 1:
         raise ConstructionFailure(f"{tag}: blades disagree on the shared vertex label {shared}")
-    assignment: dict[str, Label] = {}
-    for prefix, labels in blades.items():
-        for i, label in enumerate(labels, start=1):
-            name = "v2" if i == 2 else f"{prefix}{i}"
-            assignment[name] = label
     return _checked(d, Labeling(alpha, k, assignment), tag)
 
 
@@ -137,46 +139,28 @@ def label_double_cycle(n: int) -> ConstructionResult:
     """Quasi-(3, ceil(n/2))-labeling of the glued double cycle C_n . C_n."""
     if n < 3:
         raise InvalidParameterError("double cycle needs n >= 3")
-    k = _ceil_half(n)
-    blades = {
-        "v": _blade_labels(n, 1, k, star=False),
-        "u": _blade_labels(n, 2, k, star=False),
-    }
-    return _assemble_blades(make_infinity(n, n), blades, 3, k, "double-cycle")
+    return _label_blades(make_infinity(n, n), (n, n), 3, "double-cycle")
 
 
 def label_windmill(n: int) -> ConstructionResult:
     """Quasi-(4, ceil(n/2))-labeling of the three-blade windmill of blade length n."""
     if n < 3:
         raise InvalidParameterError("windmill needs n >= 3")
-    k = _ceil_half(n)
-    blades = {
-        "v": _blade_labels(n, 1, k, star=False),
-        "u": _blade_labels(n, 2, k, star=False),
-        "w": _blade_labels(n, 3, k, star=False),
-    }
-    return _assemble_blades(make_propeller3(n, n, n), blades, 4, k, "windmill")
+    return _label_blades(make_propeller3(n, n, n), (n, n, n), 4, "windmill")
 
 
 def label_propeller(n: int, p: int, q: int) -> ConstructionResult:
     """Quasi-(4,k)-labeling of the three-blade propeller C_n . C_p . C_q.
 
-    Blade lengths must come from {n, n+1, n+2}.  k is forced by the mix:
-    every blade is labeled either at ceil(L/2) (plain string) or at
-    ceil(L/2)+1 (longer string), and all blades must agree, so
-    k = max over blades of ceil(L/2).
+    Blade lengths must come from {n, n+1, n+2}; k = max over blades of
+    ceil(L/2).
     """
     if n < 4:
         raise InvalidParameterError("propeller needs n >= 4")
     for value, name in ((p, "p"), (q, "q")):
         if value not in (n, n + 1, n + 2):
             raise InvalidParameterError(f"{name} must lie in {{n, n+1, n+2}}, got {value}")
-    lengths = (n, p, q)
-    k = max(_ceil_half(length) for length in lengths)
-    blades = {}
-    for prefix, j, length in (("v", 1, n), ("u", 2, p), ("w", 3, q)):
-        blades[prefix] = _blade_labels(length, j, k, star=_ceil_half(length) != k)
-    return _assemble_blades(make_propeller3(n, p, q), blades, 4, k, "propeller3")
+    return _label_blades(make_propeller3(n, p, q), (n, p, q), 4, "propeller3")
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +215,13 @@ def _shrink_string(s: tuple[int, ...], k: int, target: int, forbidden: frozenset
                    rightmost: bool) -> tuple[int, ...]:
     """Delete symbols one at a time until len(s) == target.
 
-    The first k+1 positions (the anchor ``3 1..1 2`` holding the shared
-    window) are pinned.  Each deletion must leave all windows distinct and
-    outside the forbidden set; candidate positions are scanned from the
-    chosen end so output is deterministic.
+    Deleting a symbol inside a constant run leaves every other window
+    untouched; deleting elsewhere merges two adjacent window labels into one,
+    which is the paper's vertex merging.  The first k+1 positions (the
+    anchor ``3 1..1 2`` holding the shared window) are pinned.  Each deletion
+    must leave all windows distinct and outside the forbidden set; candidate
+    positions are scanned from the chosen end so output is deterministic.
     """
-    if target < k + 1:
-        raise InvalidParameterError(f"cycle cannot shrink below {k + 1} vertices")
-    if target > len(s):
-        raise InvalidParameterError("target exceeds current cycle length")
     cur = list(s)
     while len(cur) > target:
         positions = range(len(cur) - 1, k, -1) if rightmost else range(k + 1, len(cur))
@@ -254,19 +236,9 @@ def _shrink_string(s: tuple[int, ...], k: int, target: int, forbidden: frozenset
     return tuple(cur)
 
 
-def _assemble_infinity(n: int, p: int, v_labels: list[Label], u_string: tuple[int, ...],
-                       k: int, tag: str) -> ConstructionResult:
-    u_labels = _windows(u_string, k)
-    if u_labels[1] != v_labels[1]:
-        raise ConstructionFailure(f"{tag}: cycles disagree on the shared vertex label")
-    assignment = {f"v{i}": v_labels[i - 1] for i in range(1, n + 1)}
-    for i in range(1, p + 1):
-        if i != 2:
-            assignment[f"u{i}"] = u_labels[i - 1]
-    return _checked(make_infinity(n, p), Labeling(4, k, assignment), tag)
-
-
 def _infinity_build(n: int, p: int, v_labels: list[Label], tag: str) -> ConstructionResult:
+    """Label C_n . C_p: v_labels on the small cycle, and on the big cycle the
+    windows of the full-length string shrunk to p symbols."""
     c = _ceil_half(n)
     k = c + 1
     tail_run = n >= 6
@@ -274,8 +246,12 @@ def _infinity_build(n: int, p: int, v_labels: list[Label], tag: str) -> Construc
     forbidden = frozenset(v_labels) - {v_labels[1]}
     if not _string_ok(full, k, forbidden):
         raise ConstructionFailure(f"{tag}: full-length cycle fails self-check")
-    u_string = _shrink_string(full, k, p, forbidden, rightmost=tail_run)
-    return _assemble_infinity(n, p, v_labels, u_string, k, tag)
+    u_labels = _windows(_shrink_string(full, k, p, forbidden, rightmost=tail_run), k)
+    if u_labels[1] != v_labels[1]:
+        raise ConstructionFailure(f"{tag}: cycles disagree on the shared vertex label")
+    assignment = {f"v{i}": label for i, label in enumerate(v_labels, start=1)}
+    assignment.update((f"u{i}", label) for i, label in enumerate(u_labels, start=1) if i != 2)
+    return _checked(make_infinity(n, p), Labeling(4, k, assignment), tag)
 
 
 def label_infinity_even(n: int, p: int) -> ConstructionResult:
@@ -302,64 +278,12 @@ def label_infinity_odd(n: int, p: int) -> ConstructionResult:
 def label_infinity_c3(p: int) -> ConstructionResult:
     """Quasi-(4,3)-labeling of C_3 . C_p for 4 <= p <= 13.
 
-    The triangle is labeled 211, 112, 121 and the big cycle reuses the
-    length-13 machinery of the even construction at k = 3.
+    The triangle is labeled 211, 112, 121 and the big cycle is the n = 3
+    case of the even construction: k = 3, length 13, no tail run.
     """
     if not 4 <= p <= 13:
         raise InvalidParameterError(f"p must satisfy 4 <= p <= 13, got {p}")
-    v_labels: list[Label] = [(2, 1, 1), (1, 1, 2), (1, 2, 1)]
-    forbidden = frozenset(v_labels) - {v_labels[1]}
-    full = _infinity_u_template(2, tail_run=False)
-    if not _string_ok(full, 3, forbidden):
-        raise ConstructionFailure("infinity-c3: full-length cycle fails self-check")
-    u_string = _shrink_string(full, 3, p, forbidden, rightmost=False)
-    return _assemble_infinity(3, p, v_labels, u_string, 3, "infinity-c3")
-
-
-# ---------------------------------------------------------------------------
-# public shrink
-# ---------------------------------------------------------------------------
-
-def _u_cycle_order(d: Digraph) -> list[str]:
-    """Vertices of the big cycle in arc order u1, v2, u3, ..., up."""
-    if not d.has_vertex("u1"):
-        raise InvalidInputError("digraph has no u-cycle to shrink")
-    order = ["u1"]
-    cur = "u1"
-    while True:
-        nxts = [w for w in d.out_neighbors(cur) if w == "v2" or w.startswith("u")]
-        if len(nxts) != 1:
-            # at the shared vertex pick the u-side successor
-            nxts = [w for w in d.out_neighbors(cur) if w.startswith("u")]
-        if len(nxts) != 1:
-            raise InvalidInputError("cannot trace the u-cycle")
-        cur = nxts[0]
-        if cur == "u1":
-            return order
-        order.append(cur)
-
-
-def shrink_by_merge(result: ConstructionResult, target_p: int) -> ConstructionResult:
-    """Shorten the big cycle of an infinity construction to target_p vertices.
-
-    One vertex is removed per step.  Removing a vertex inside a constant
-    run leaves every other label untouched (its neighbors already overlap
-    directly); removing elsewhere merges two adjacent labels into one.  Both
-    are a single symbol deletion in the cycle string, and each step is
-    re-verified before the next.
-    """
-    if not result.tag.startswith("infinity"):
-        raise InvalidInputError(f"shrink applies to infinity constructions, not {result.tag!r}")
-    lab = result.labeling
-    n = sum(1 for v in result.digraph.vertices if v.startswith("v"))
-    u_order = _u_cycle_order(result.digraph)
-    if target_p == len(u_order):
-        return result
-    u_string = tuple(lab.label_of(v)[0] for v in u_order)
-    v_labels = [lab.label_of(f"v{i}") for i in range(1, n + 1)]
-    forbidden = frozenset(v_labels) - {v_labels[1]}
-    shrunk = _shrink_string(u_string, lab.k, target_p, forbidden, rightmost=n >= 6)
-    return _assemble_infinity(n, target_p, v_labels, shrunk, lab.k, result.tag)
+    return _infinity_build(3, p, [(2, 1, 1), (1, 1, 2), (1, 2, 1)], "infinity-c3")
 
 
 # construction tag -> (parameters label_* takes, in order; label_*)

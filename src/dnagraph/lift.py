@@ -19,15 +19,12 @@ from .labeling import Labeling, find_full_violation, find_quasi_violation, overl
 
 @dataclass(frozen=True)
 class LiftedLabeling:
-    """Result of m lift steps, keeping the base and final pair.
+    """The final pair of m lift steps.
 
     vertex_counts records |V| of every stage (base first), so growth claims
     can be checked without retaining the intermediate digraphs.
     """
 
-    base_digraph: Digraph
-    base_labeling: Labeling
-    m: int
     result_digraph: Digraph
     result_labeling: Labeling
     vertex_counts: tuple[int, ...]
@@ -63,11 +60,5 @@ def lift_m(d: Digraph, lab: Labeling, m: int, vertex_cap: int = LINE_VERTEX_CAP)
                 f"next lift would create {cur_d.arc_count} vertices, cap is {vertex_cap}")
         cur_d, cur_lab = lift_once(cur_d, cur_lab)
         counts.append(cur_d.vertex_count)
-    return LiftedLabeling(
-        base_digraph=d,
-        base_labeling=lab,
-        m=m,
-        result_digraph=cur_d,
-        result_labeling=cur_lab,
-        vertex_counts=tuple(counts),
-    )
+    return LiftedLabeling(result_digraph=cur_d, result_labeling=cur_lab,
+                          vertex_counts=tuple(counts))

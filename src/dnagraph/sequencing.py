@@ -17,16 +17,19 @@ from .labeling import Label, Labeling, find_quasi_violation, overlap_merge
 
 NUCLEOTIDES = {1: "A", 2: "C", 3: "G", 4: "T"}
 
+# count_eulerian_paths stops here; a count that reaches it is a lower bound
+PATH_COUNT_CAP = 64
+
+
+def nucleotide_string(label: Label) -> str:
+    return "".join(NUCLEOTIDES[s] for s in label)
+
 
 def to_nucleotides(lab: Labeling) -> dict[str, str]:
     """Render every vertex label as a nucleotide string (needs alpha <= 4)."""
     if lab.alpha > 4:
         raise InvalidInputError(f"nucleotide rendering needs alpha <= 4, got {lab.alpha}")
-    return {v: "".join(NUCLEOTIDES[s] for s in label) for v, label in lab.assignment.items()}
-
-
-def nucleotide_string(label: Label) -> str:
-    return "".join(NUCLEOTIDES[s] for s in label)
+    return {v: nucleotide_string(label) for v, label in lab.assignment.items()}
 
 
 def pevzner_arc_labels(d: Digraph, lab: Labeling) -> dict[tuple[str, str], str]:
@@ -93,37 +96,36 @@ def eulerian_path(d: Digraph, start: str | None = None) -> tuple[tuple[str, str]
     return tuple(trail)
 
 
-def count_eulerian_paths(d: Digraph, start: str | None = None, cap: int = 64) -> int:
-    """Number of distinct Eulerian arc sequences from the given start, counted
-    by exhaustive backtracking and truncated at cap.
+def count_eulerian_paths(d: Digraph, path: tuple[tuple[str, str], ...],
+                         cap: int = PATH_COUNT_CAP) -> int:
+    """Number of distinct Eulerian arc sequences that start where path starts,
+    counted by exhaustive backtracking and truncated at cap.
 
+    path is an Eulerian arc sequence of d, as eulerian_path returns it.
     Reconstruction ambiguity is reported, not resolved: spelling functions
-    always follow the first (deterministic) path.
+    always follow the given (deterministic) path.
     """
-    first = eulerian_path(d, start)
-    if first is None:
-        return 0
-    begin = first[0][0]
     out_arcs: dict[str, list[tuple[str, str]]] = {v: [] for v in d.vertices}
     for arc in d.arcs:
         out_arcs[arc[0]].append(arc)
     used: set[tuple[str, str]] = set()
+    trail: list[tuple[str, str]] = []
+    # choices[i] yields the untried out-arcs at the end of trail[:i]; an
+    # explicit stack, because a trail can be longer than the recursion limit
+    choices = [iter(out_arcs[path[0][0]])]
     count = 0
-
-    def walk(v: str, remaining: int) -> None:
-        nonlocal count
-        if count >= cap:
-            return
-        if remaining == 0:
+    while choices and count < cap:
+        arc = next((a for a in choices[-1] if a not in used), None)
+        if arc is None:
+            choices.pop()
+            if trail:
+                used.remove(trail.pop())
+        elif len(trail) + 1 == d.arc_count:
             count += 1
-            return
-        for arc in out_arcs[v]:
-            if arc not in used:
-                used.add(arc)
-                walk(arc[1], remaining - 1)
-                used.remove(arc)
-
-    walk(begin, d.arc_count)
+        else:
+            used.add(arc)
+            trail.append(arc)
+            choices.append(iter(out_arcs[arc[1]]))
     return count
 
 
@@ -135,7 +137,7 @@ class Spectrum:
     source_path: tuple[str, ...]
 
 
-def spell_eulerian(d: Digraph, lab: Labeling, path: tuple[tuple[str, str], ...]) -> str:
+def spell_eulerian(lab: Labeling, path: tuple[tuple[str, str], ...]) -> str:
     """Overlap-concatenate the vertex k-mers along an Eulerian arc sequence."""
     first = lab.label_of(path[0][0])
     out = nucleotide_string(first)
@@ -144,12 +146,10 @@ def spell_eulerian(d: Digraph, lab: Labeling, path: tuple[tuple[str, str], ...])
     return out
 
 
-def hamiltonian_via_line(d: Digraph, lab: Labeling, start: str | None = None) -> Spectrum | None:
-    """Map the Eulerian arc sequence of d onto the Hamiltonian vertex
+def hamiltonian_via_line(d: Digraph, lab: Labeling,
+                         path: tuple[tuple[str, str], ...]) -> Spectrum:
+    """Map an Eulerian arc sequence of d onto the Hamiltonian vertex
     sequence of line_digraph(d) and spell the spectrum from it."""
-    path = eulerian_path(d, start)
-    if path is None:
-        return None
     bad = find_quasi_violation(d, lab)
     if bad is not None:
         raise InvalidInputError(f"spectrum spelling needs a quasi-valid labeling: {bad}")

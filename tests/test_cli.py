@@ -1,8 +1,10 @@
 import io
+import itertools
 
 import pytest
 
-from dnagraph import (CONSTRUCTIONS, FAMILIES, cli, format_digraph_text, format_labeling)
+from dnagraph import (CONSTRUCTIONS, FAMILIES, Digraph, Labeling, cli, format_digraph_text,
+                      format_labeling)
 
 
 def run_with_err(argv):
@@ -225,6 +227,20 @@ def test_sequence_reports_path_count():
     code, out = run(["sequence", "--demo", "--start", "TA"])
     assert code == 0
     assert "distinct eulerian paths from this start: 1" in out
+
+
+def test_sequence_marks_capped_count(tmp_path):
+    # B(2,4): 4096 eulerian paths from 1111, far above the count's cap
+    words = ["".join(w) for w in itertools.product("12", repeat=4)]
+    d = Digraph(words, [(w, w[1:] + c) for w in words for c in "12"])
+    lab = Labeling(2, 4, {w: tuple(map(int, w)) for w in words})
+    g = tmp_path / "b24.txt"
+    l = tmp_path / "b24.lab"
+    g.write_text(format_digraph_text(d))
+    l.write_text(format_labeling(lab))
+    code, out = run(["sequence", "--digraph", str(g), "--labeling", str(l), "--start", "1111"])
+    assert code == 0
+    assert out.endswith("distinct eulerian paths from this start: at least 64\n")
 
 
 def test_budget_env_var(monkeypatch, tmp_path):

@@ -1,10 +1,13 @@
+import hashlib
+
 import pytest
 
-from dnagraph import (ConstructionFailure, InvalidInputError, InvalidParameterError,
-                      UnsupportedParameterError, format_label, label_chorded_cycle,
+from dnagraph import (InvalidParameterError, UnsupportedParameterError, format_digraph_text,
+                      format_label, format_labeling, label_chorded_cycle,
                       label_double_cycle, label_infinity_c3, label_infinity_even,
                       label_infinity_odd, label_propeller, label_windmill,
-                      shrink_by_merge, verify_distinct, verify_quasi)
+                      verify_distinct, verify_quasi)
+from dnagraph.acceptance import _small_fixtures
 
 
 def row_of(result, prefix, indices):
@@ -50,6 +53,10 @@ class TestInfinityEven:
         assert row_of(res, "u", range(1, 14)) == [
             "311", "112", "122", "222", "223", "233", "334",
             "344", "444", "443", "433", "333", "331"]
+
+    def test_minimum_cycle_u_row(self):
+        res = label_infinity_even(4, 4)
+        assert row_of(res, "u", range(1, 5)) == ["311", "112", "123", "231"]
 
     def test_drawn_c4c5(self):
         res = label_infinity_even(4, 5)
@@ -219,38 +226,13 @@ class TestPropeller:
             label_propeller(n, p, q)
 
 
-class TestShrinkByMerge:
-    def test_identity_at_current_length(self):
-        res = label_infinity_even(6, 10)
-        assert shrink_by_merge(res, 10) is res
-
-    def test_single_step_reverifies(self):
-        res = label_infinity_even(6, 18)
-        smaller = shrink_by_merge(res, 17)
-        assert smaller.digraph.vertex_count == 22
-        assert verify_quasi(smaller.digraph, smaller.labeling)
-
-    def test_every_intermediate_is_quasi(self):
-        # walk the whole chain one deletion at a time
-        res = label_infinity_even(4, 13)
-        for target in range(12, 3, -1):
-            res = shrink_by_merge(res, target)
-            assert verify_quasi(res.digraph, res.labeling), target
-
-    def test_reaches_minimum_sequence(self):
-        res = shrink_by_merge(label_infinity_even(4, 13), 4)
-        assert row_of(res, "u", range(1, 5)) == ["311", "112", "123", "231"]
-
-    def test_below_minimum_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            shrink_by_merge(label_infinity_even(4, 13), 3)
-
-    def test_wrong_family_rejected(self):
-        with pytest.raises(InvalidInputError):
-            shrink_by_merge(label_windmill(5), 4)
-
-    def test_shrink_odd_and_c3(self):
-        odd = shrink_by_merge(label_infinity_odd(7, 23), 10)
-        assert verify_quasi(odd.digraph, odd.labeling)
-        c3 = shrink_by_merge(label_infinity_c3(13), 5)
-        assert verify_quasi(c3.digraph, c3.labeling)
+def test_catalogue_fixtures_digest():
+    """Every labeling the acceptance sweep builds, byte for byte."""
+    h = hashlib.sha256()
+    count = 0
+    for r in _small_fixtures():
+        text = r.tag + "\n" + format_digraph_text(r.digraph) + format_labeling(r.labeling)
+        h.update(text.encode("utf-8"))
+        count += 1
+    assert count == 208
+    assert h.hexdigest() == "dbf6c27f1f538e0f56b59db8aaca9ee4355e2c5b8291453c206350bbb28d7f0f"

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from dnagraph import (Digraph, InvalidInputError, Labeling, WALK_SEP,
@@ -61,7 +63,7 @@ class TestEulerianPath:
         d, lab = demo
         path = eulerian_path(d, start="TA")
         assert path is not None and len(path) == d.arc_count
-        assert spell_eulerian(d, lab, path) == "TACGACTA"
+        assert spell_eulerian(lab, path) == "TACGACTA"
 
     def test_each_arc_used_once(self, demo):
         d, _ = demo
@@ -88,10 +90,14 @@ class TestEulerianPath:
         assert eulerian_path(d, start="a") is not None
 
 
+def demo_spectrum(d, lab):
+    return hamiltonian_via_line(d, lab, eulerian_path(d, start="TA"))
+
+
 class TestHamiltonianViaLine:
     def test_demo_vertex_sequence(self, demo):
         d, lab = demo
-        spectrum = hamiltonian_via_line(d, lab, start="TA")
+        spectrum = demo_spectrum(d, lab)
         assert spectrum.sequence == "TACGACTA"
         sep = WALK_SEP
         assert spectrum.source_path == (
@@ -100,13 +106,13 @@ class TestHamiltonianViaLine:
 
     def test_visits_every_line_vertex_once(self, demo):
         d, lab = demo
-        spectrum = hamiltonian_via_line(d, lab, start="TA")
+        spectrum = demo_spectrum(d, lab)
         lysov = line_digraph(d)
         assert sorted(spectrum.source_path) == sorted(lysov.vertices)
 
     def test_walks_are_line_arcs(self, demo):
         d, lab = demo
-        spectrum = hamiltonian_via_line(d, lab, start="TA")
+        spectrum = demo_spectrum(d, lab)
         lysov = line_digraph(d)
         for a, b in zip(spectrum.source_path, spectrum.source_path[1:]):
             assert lysov.has_arc(a, b)
@@ -114,40 +120,44 @@ class TestHamiltonianViaLine:
     def test_length_arithmetic(self, demo):
         # merged 3-mers overlap pairwise on two bases: 3 + (arcs - 1)
         d, lab = demo
-        spectrum = hamiltonian_via_line(d, lab, start="TA")
+        spectrum = demo_spectrum(d, lab)
         assert len(spectrum.sequence) == (lab.k + 1) + d.arc_count - 1 == 8
 
-    def test_none_without_eulerian_path(self):
-        star = Digraph(["c", "a", "b", "d"], [("c", "a"), ("c", "b"), ("c", "d")])
-        lab = Labeling(4, 2, {"c": (1, 1), "a": (1, 2), "b": (1, 3), "d": (1, 4)})
-        assert hamiltonian_via_line(star, lab) is None
+    def test_requires_quasi(self):
+        d = make_dicycle(3)
+        broken = Labeling(2, 2, {"v1": (1, 1), "v2": (2, 2), "v3": (2, 1)})
+        with pytest.raises(InvalidInputError):
+            hamiltonian_via_line(d, broken, eulerian_path(d, "v1"))
 
     def test_dicycle_round_trip(self):
         d = make_dicycle(3)
         lab = Labeling(3, 2, {"v1": (1, 2), "v2": (2, 3), "v3": (3, 1)})
-        spectrum = hamiltonian_via_line(d, lab, start="v1")
-        assert spectrum.sequence == spell_eulerian(d, lab, eulerian_path(d, "v1"))
+        path = eulerian_path(d, "v1")
+        assert hamiltonian_via_line(d, lab, path).sequence == spell_eulerian(lab, path)
+
+
+def count_from(d, start):
+    return count_eulerian_paths(d, eulerian_path(d, start))
 
 
 class TestPathCounting:
     def test_demo_is_unambiguous_from_ta(self):
         d, _ = sample_pevzner_graph()
-        assert count_eulerian_paths(d, start="TA") == 1
+        assert count_from(d, "TA") == 1
 
     def test_dicycle_single_circuit(self):
-        assert count_eulerian_paths(make_dicycle(5), start="v1") == 1
+        assert count_from(make_dicycle(5), "v1") == 1
+
+    def test_trail_longer_than_recursion_limit(self):
+        assert count_from(make_dicycle(sys.getrecursionlimit() + 1), "v1") == 1
 
     def test_ambiguous_instance(self):
         # two interleaved 2-cycles through a hub: two circuits from the hub
         d = Digraph(["h", "a", "b"],
                     [("h", "a"), ("a", "h"), ("h", "b"), ("b", "h")])
-        assert count_eulerian_paths(d, start="h") == 2
+        assert count_from(d, "h") == 2
 
     def test_cap_truncates(self):
         d = Digraph(["h", "a", "b"],
                     [("h", "a"), ("a", "h"), ("h", "b"), ("b", "h")])
-        assert count_eulerian_paths(d, start="h", cap=1) == 1
-
-    def test_zero_without_path(self):
-        star = Digraph(["c", "a", "b", "d"], [("c", "a"), ("c", "b"), ("c", "d")])
-        assert count_eulerian_paths(star) == 0
+        assert count_eulerian_paths(d, eulerian_path(d, "h"), cap=1) == 1
