@@ -13,16 +13,14 @@ from .constructions import (CHORDED_ROWS, CONSTRUCTIONS, ConstructionResult,
                             label_infinity_even, label_infinity_odd, label_propeller,
                             label_windmill)
 from .digraph import (FAMILIES, Digraph, chords_of, format_digraph_text, isomorphic,
-                      iterated_line_digraph, line_digraph, make_chorded_cycle,
-                      make_dicycle, make_dipath, make_infinity, make_ladder,
-                      make_propeller3, make_windmill, parse_digraph_text, to_dot,
-                      WALK_SEP)
+                      line_digraph, make_chorded_cycle, make_dicycle, make_dipath,
+                      make_infinity, make_ladder, make_propeller3, make_windmill,
+                      parse_digraph_text, to_dot, WALK_SEP)
 from .errors import (ConstructionFailure, DnaGraphError, InvalidInputError,
                      InvalidParameterError, ResourceLimitError, UnsupportedParameterError)
-from .labeling import (Label, Labeling, find_distinct_violation, find_dna_violation,
-                       find_full_violation, find_quasi_violation, format_label, format_labeling,
-                       is_dna_certificate, overlap_merge, parse_labeling,
-                       verify_distinct, verify_full, verify_quasi)
+from .labeling import (Label, Labeling, find_dna_violation, find_full_violation,
+                       find_quasi_violation, format_label, format_labeling, overlap_merge,
+                       parse_labeling)
 from .lift import LiftedLabeling, lift_m, lift_once
 from .search import (BUDGET_EXCEEDED, ConjectureRow, SAT, SearchConfig, SearchOutcome,
                      UNSAT, check_middle_vertex_lemma, explore_conjecture, find_labeling)
@@ -38,15 +36,13 @@ __all__ = [
     "InvalidParameterError", "Label", "Labeling", "LiftedLabeling", "NUCLEOTIDES",
     "ResourceLimitError", "SAT", "SearchConfig", "SearchOutcome", "Spectrum", "UNSAT",
     "UnsupportedParameterError", "WALK_SEP", "check_middle_vertex_lemma", "chords_of",
-    "count_eulerian_paths", "eulerian_path", "explore_conjecture", "find_distinct_violation",
-    "find_dna_violation", "find_full_violation", "find_labeling", "find_quasi_violation",
-    "format_digraph_text", "format_label", "format_labeling", "hamiltonian_via_line",
-    "is_dna_certificate", "isomorphic", "iterated_line_digraph", "label_chorded_cycle",
-    "label_double_cycle", "label_infinity_c3", "label_infinity_even",
+    "count_eulerian_paths", "eulerian_path", "explore_conjecture", "find_dna_violation",
+    "find_full_violation", "find_labeling", "find_quasi_violation", "format_digraph_text",
+    "format_label", "format_labeling", "hamiltonian_via_line", "isomorphic",
+    "label_chorded_cycle", "label_double_cycle", "label_infinity_c3", "label_infinity_even",
     "label_infinity_odd", "label_propeller", "label_windmill", "lift_m", "lift_once",
-    "line_digraph", "make_chorded_cycle", "make_dicycle", "make_dipath",
-    "make_infinity", "make_ladder", "make_propeller3", "make_windmill", "overlap_merge",
-    "parse_digraph_text", "parse_labeling", "pevzner_arc_labels", "sample_pevzner_graph",
-    "spell_eulerian", "to_dot", "to_nucleotides", "verify_distinct",
-    "verify_full", "verify_quasi",
+    "line_digraph", "make_chorded_cycle", "make_dicycle", "make_dipath", "make_infinity",
+    "make_ladder", "make_propeller3", "make_windmill", "overlap_merge", "parse_digraph_text",
+    "parse_labeling", "pevzner_arc_labels", "sample_pevzner_graph", "spell_eulerian", "to_dot",
+    "to_nucleotides",
 ]

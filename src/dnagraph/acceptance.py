@@ -18,11 +18,11 @@ from .constructions import (CHORDED_ROWS, label_chorded_cycle, label_double_cycl
                             label_propeller, label_windmill)
 from .digraph import (Digraph, _walk_join, isomorphic, line_digraph, make_chorded_cycle,
                       make_infinity, make_ladder)
-from .labeling import (Labeling, format_label, is_dna_certificate, verify_full,
-                       verify_quasi)
+from .labeling import (Labeling, find_dna_violation, find_full_violation,
+                       find_quasi_violation, format_label)
 from .lift import lift_m, lift_once
-from .search import (BUDGET_EXCEEDED, SAT, UNSAT, SearchConfig, check_middle_vertex_lemma,
-                     default_node_budget, explore_conjecture, find_labeling)
+from .search import (SAT, UNSAT, SearchConfig, check_middle_vertex_lemma, explore_conjecture,
+                     find_labeling)
 from .sequencing import eulerian_path, hamiltonian_via_line, sample_pevzner_graph, spell_eulerian
 
 
@@ -75,7 +75,7 @@ def criterion_chorded_rows() -> str:
         res = label_chorded_cycle(n)
         assert _row_string(res) == EXPECTED_CHORDED_ROWS[n], f"row mismatch at n={n}"
         assert res.labeling.alpha == 4 and res.labeling.k == 3
-        assert verify_quasi(res.digraph, res.labeling), f"quasi fails at n={n}"
+        assert find_quasi_violation(res.digraph, res.labeling) is None, f"quasi fails at n={n}"
     assert CHORDED_ROWS == EXPECTED_CHORDED_ROWS
     return "9 rows exact, all quasi-(4,3)"
 
@@ -85,7 +85,7 @@ def criterion_chorded_lift() -> str:
     for n in range(6, 15):
         res = label_chorded_cycle(n)
         lifted, lifted_lab = lift_once(res.digraph, res.labeling)
-        assert verify_full(lifted, lifted_lab), f"full fails after lift at n={n}"
+        assert find_full_violation(lifted, lifted_lab) is None, f"full fails after lift at n={n}"
         if n == 12:
             assert lifted.vertex_count == 16, lifted.vertex_count
     return "9 lifts full; n=12 lift has 16 vertices"
@@ -96,7 +96,7 @@ def criterion_chorded_triple_lift() -> str:
     res = label_chorded_cycle(12)
     out = lift_m(res.digraph, res.labeling, 3)
     assert out.result_labeling.k == 6, out.result_labeling.k
-    assert is_dna_certificate(out.result_digraph, out.result_labeling)
+    assert find_dna_violation(out.result_digraph, out.result_labeling) is None
     counts = out.vertex_counts
     assert all(a < b for a, b in zip(counts, counts[1:])), counts
     return f"vertex counts {counts}, k=6, certified"
@@ -110,7 +110,7 @@ def criterion_infinity_even() -> str:
         for p in range(n, 5 * n // 2 + 4):
             res = label_infinity_even(n, p)
             assert res.labeling.k == k, (n, p)
-            assert verify_quasi(res.digraph, res.labeling), (n, p)
+            assert find_quasi_violation(res.digraph, res.labeling) is None, (n, p)
             assert res.labeling.label_of("v2") == (1,) * (k - 1) + (2,), (n, p)
             assert res.digraph.vertex_count == n + p - 1
             checked += 1
@@ -125,7 +125,7 @@ def criterion_infinity_odd() -> str:
         for p in range(n, 5 * ((n + 1) // 2) + 4):
             res = label_infinity_odd(n, p)
             assert res.labeling.k == k, (n, p)
-            assert verify_quasi(res.digraph, res.labeling), (n, p)
+            assert find_quasi_violation(res.digraph, res.labeling) is None, (n, p)
             assert res.labeling.label_of("v2") == (1,) * (k - 1) + (2,), (n, p)
             checked += 1
     return f"{checked} (n, p) pairs verified"
@@ -135,9 +135,9 @@ def criterion_infinity_c3() -> str:
     """Triangle gluings: quasi for p in 4..13 and DNA-certified after one lift."""
     for p in range(4, 14):
         res = label_infinity_c3(p)
-        assert verify_quasi(res.digraph, res.labeling), p
+        assert find_quasi_violation(res.digraph, res.labeling) is None, p
         lifted, lifted_lab = lift_once(res.digraph, res.labeling)
-        assert is_dna_certificate(lifted, lifted_lab), p
+        assert find_dna_violation(lifted, lifted_lab) is None, p
     return "10 values of p verified and lift-certified"
 
 
@@ -146,7 +146,7 @@ def criterion_double_cycle() -> str:
     for n in range(3, 16):
         res = label_double_cycle(n)
         assert res.labeling.alpha == 3 and res.labeling.k == (n + 1) // 2, n
-        assert verify_quasi(res.digraph, res.labeling), n
+        assert find_quasi_violation(res.digraph, res.labeling) is None, n
     res3 = label_double_cycle(3)
     lab = res3.labeling
     assert [lab.label_of(v) for v in ("v1", "v2", "v3")] == [(1, 1), (1, 2), (2, 1)]
@@ -160,13 +160,13 @@ def criterion_windmill_propeller() -> str:
     for n in range(3, 16):
         res = label_windmill(n)
         assert res.labeling.alpha == 4 and res.labeling.k == (n + 1) // 2, n
-        assert verify_quasi(res.digraph, res.labeling), n
+        assert find_quasi_violation(res.digraph, res.labeling) is None, n
     combos = 0
     for n in range(4, 10):
         for p in (n, n + 1, n + 2):
             for q in (n, n + 1, n + 2):
                 res = label_propeller(n, p, q)
-                assert verify_quasi(res.digraph, res.labeling), (n, p, q)
+                assert find_quasi_violation(res.digraph, res.labeling) is None, (n, p, q)
                 assert res.labeling.k in ((n + 1) // 2, (n + 1) // 2 + 1), (n, p, q)
                 combos += 1
     assert _label_set(label_propeller(5, 5, 6).labeling) == GOLDEN_PROPELLER_556
@@ -181,10 +181,10 @@ def criterion_small_chain() -> str:
     assert _label_set(res.labeling) == GOLDEN_C4C5
     one = lift_m(res.digraph, res.labeling, 1)
     assert _label_set(one.result_labeling) == GOLDEN_LIFT1_C4C5
-    assert verify_full(one.result_digraph, one.result_labeling)
+    assert find_full_violation(one.result_digraph, one.result_labeling) is None
     two = lift_m(res.digraph, res.labeling, 2)
     assert _label_set(two.result_labeling) == GOLDEN_LIFT2_C4C5
-    assert verify_full(two.result_digraph, two.result_labeling)
+    assert find_full_violation(two.result_digraph, two.result_labeling) is None
     return f"base 8, lift 9, double lift {two.result_digraph.vertex_count} labels, all exact"
 
 
@@ -197,26 +197,22 @@ def criterion_ladder_iso() -> str:
 
 def criterion_ladder_fixtures() -> str:
     """The printed (3,4)-labelings of the 2x3 and 2x5 ladders are full, and
-    the explorer finds (3,4) labelings for n in 2..6 (or hits the budget)."""
+    the explorer finds (3,4) labelings for n in 2..6."""
     for n, fixture in ((3, LADDER3_LABELS), (5, LADDER5_LABELS)):
         ladder = make_ladder(n)
         lab = Labeling(3, 4, dict(fixture))
-        assert verify_full(ladder, lab), n
-    budget = default_node_budget()
-    rows = explore_conjecture(range(2, 7), node_budget=budget)
-    notes = []
+        assert find_full_violation(ladder, lab) is None, n
+    rows = explore_conjecture(range(2, 7))
     for n in range(2, 7):
         row = next(r for r in rows if r.n == n and r.alpha == 3 and r.k == 4)
-        assert row.verdict in (SAT, BUDGET_EXCEEDED), row
-        if row.verdict != SAT:
-            notes.append(f"n={n} exhausted budget {budget}")
-    return "; ".join(notes) if notes else "fixtures full, explorer SAT for n in 2..6 at (3,4)"
+        assert row.verdict == SAT, row
+    return "fixtures full, explorer SAT for n in 2..6 at (3,4)"
 
 
 def criterion_negative_bound() -> str:
     """No quasi-(4,3)-labeling of the 15-vertex chorded cycle exists, and all
     small positive certificates satisfy the constant-middle-vertex fact."""
-    cfg = SearchConfig(4, 3, "quasi", default_node_budget())
+    cfg = SearchConfig(4, 3, "quasi")
     outcome = find_labeling(make_chorded_cycle(15), cfg)
     assert outcome.verdict == UNSAT, outcome.verdict
     for n in range(6, 10):
@@ -249,12 +245,11 @@ def _small_fixtures():
 def criterion_oracle_agreement() -> str:
     """The search oracle independently finds a labeling wherever a compact
     construction fixture exists (up to 20 vertices, k up to 4)."""
-    budget = default_node_budget()
     ran = 0
     for res in _small_fixtures():
         if res.digraph.vertex_count > 20 or res.labeling.k > 4:
             continue
-        cfg = SearchConfig(res.labeling.alpha, res.labeling.k, "quasi", budget)
+        cfg = SearchConfig(res.labeling.alpha, res.labeling.k, "quasi")
         outcome = find_labeling(res.digraph, cfg)
         assert outcome.verdict == SAT, (res.tag, res.digraph.vertex_count, outcome.verdict)
         ran += 1
@@ -316,11 +311,11 @@ def criterion_structural_properties() -> str:
         assert ld.arc_count == sum(d.in_degree(v) * d.out_degree(v) for v in d.vertices)
 
         d2, lab = _random_quasi_instance(rng)
-        assert verify_quasi(d2, lab)
+        assert find_quasi_violation(d2, lab) is None
         perm = list(range(1, lab.alpha + 1))
         rng.shuffle(perm)
         mapping = {i + 1: perm[i] for i in range(lab.alpha)}
-        assert verify_quasi(d2, lab.relabeled(mapping))
+        assert find_quasi_violation(d2, lab.relabeled(mapping)) is None
         if d2.arc_count == 0:
             continue
         lifted, lifted_lab = lift_once(d2, lab)

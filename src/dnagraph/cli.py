@@ -16,8 +16,7 @@ from .errors import DnaGraphError, InvalidParameterError
 from .labeling import (find_dna_violation, find_full_violation, find_quasi_violation,
                        format_labeling, parse_labeling)
 from .lift import lift_m
-from .search import (SAT, SearchConfig, default_node_budget, explore_conjecture,
-                     find_labeling)
+from .search import DEFAULT_NODE_BUDGET, SAT, SearchConfig, explore_conjecture, find_labeling
 from .sequencing import (PATH_COUNT_CAP, count_eulerian_paths, eulerian_path,
                          hamiltonian_via_line, pevzner_arc_labels, sample_pevzner_graph,
                          spell_eulerian, to_nucleotides)
@@ -120,6 +119,8 @@ def _cmd_sequence(args, out) -> int:
         if not (args.digraph and args.labeling):
             raise InvalidParameterError("sequence needs --demo or both --digraph and --labeling")
         d, lab = _load_pair(args)
+    if args.start is not None and not d.has_vertex(args.start):
+        raise InvalidParameterError(f"start vertex {args.start} is not in the digraph")
     names = to_nucleotides(lab)
     out.write("vertices:\n")
     for v in d.vertices:
@@ -199,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--alpha", type=int, required=True)
     sea.add_argument("--k", type=int, required=True)
     sea.add_argument("--mode", choices=("quasi", "full"), default="quasi")
-    sea.add_argument("--budget", type=int)
+    sea.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     sea.add_argument("--digraph", required=True)
     sea.add_argument("--out-labeling")
     sea.set_defaults(func=_cmd_search)
@@ -220,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     con = sub.add_parser("conjecture", help="settle ladders for full labelings")
     con.add_argument("--n-min", type=int, default=2)
     con.add_argument("--n-max", type=int, default=6)
-    con.add_argument("--budget", type=int)
+    con.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     con.set_defaults(func=_cmd_conjecture)
 
     acc = sub.add_parser("acceptance", help="run the acceptance suite")
@@ -237,9 +238,6 @@ def main(argv=None, out=None, err=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # resolved here, not in build_parser, so a bad DNAGRAPH_BUDGET is a usage error
-        if getattr(args, "budget", 0) is None:
-            args.budget = default_node_budget()
         return args.func(args, out)
     except InvalidParameterError as exc:
         err.write(f"error: {exc}\n")

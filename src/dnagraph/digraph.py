@@ -18,7 +18,6 @@ from .errors import InvalidParameterError, ResourceLimitError
 WALK_SEP = "→"
 
 ISO_SIZE_CAP = 12
-LINE_VERTEX_CAP = 100_000
 
 
 class Digraph:
@@ -246,19 +245,6 @@ def line_digraph(d: Digraph) -> Digraph:
         by_tail.setdefault(tail, []).append(name)
     arcs = [(x, y) for (_, head), x in zip(d.arcs, names) for y in by_tail.get(head, ())]
     return Digraph(names, arcs)
-
-
-def iterated_line_digraph(d: Digraph, m: int, vertex_cap: int = LINE_VERTEX_CAP) -> Digraph:
-    """Apply the line-digraph operator m times (m = 0 returns d unchanged)."""
-    if m < 0:
-        raise InvalidParameterError("iteration count must be >= 0")
-    cur = d
-    for _ in range(m):
-        if cur.arc_count > vertex_cap:
-            raise ResourceLimitError(
-                f"next iterate would have {cur.arc_count} vertices, cap is {vertex_cap}")
-        cur = line_digraph(cur)
-    return cur
 
 
 # ---------------------------------------------------------------------------

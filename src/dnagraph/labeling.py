@@ -1,10 +1,10 @@
 """Fixed-length overlap labels and the labeling verifiers.
 
-A labeling assigns every vertex a k-tuple over {1..alpha}.  Three nested
+A labeling assigns every vertex a k-tuple over {1..alpha}.  Two nested
 properties matter here:
 
-* distinct   -- no two vertices share a tuple;
-* quasi      -- distinct, and every arc x->y overlaps: suffix(x) = prefix(y);
+* quasi      -- no two vertices share a tuple, and every arc x->y overlaps:
+                suffix(x) = prefix(y);
 * full       -- quasi, and conversely every overlapping ordered pair is an arc
                 (the deBruijn property, both directions).
 
@@ -84,30 +84,21 @@ def _require_total(d: Digraph, lab: Labeling) -> None:
             f"labeling is not total over the digraph (missing={missing[:3]}, extra={extra[:3]})")
 
 
-def find_distinct_violation(d: Digraph, lab: Labeling) -> str | None:
-    _require_total(d, lab)
-    labels = lab.assignment
-    if len(set(labels.values())) == len(labels):
-        return None
-    seen: dict[Label, str] = {}
-    for v in d.vertices:
-        label = labels[v]
-        if label in seen:
-            return f"vertices {seen[label]} and {v} share label {format_label(label)}"
-        seen[label] = v
-    return None
-
-
 def find_quasi_violation(d: Digraph, lab: Labeling) -> str | None:
     """First violation of the quasi property, or None.
 
     Symbol bounds are enforced by the Labeling constructor, so only
     distinctness and the arc shift condition are checked here.
     """
-    dup = find_distinct_violation(d, lab)
-    if dup is not None:
-        return dup
+    _require_total(d, lab)
     labels = lab.assignment
+    if len(set(labels.values())) != len(labels):
+        seen: dict[Label, str] = {}
+        for v in d.vertices:
+            label = labels[v]
+            if label in seen:
+                return f"vertices {seen[label]} and {v} share label {format_label(label)}"
+            seen[label] = v
     for tail, head in d.arcs:
         lt = labels[tail]
         lh = labels[head]
@@ -142,18 +133,6 @@ def find_full_violation(d: Digraph, lab: Labeling) -> str | None:
     return None
 
 
-def verify_distinct(d: Digraph, lab: Labeling) -> bool:
-    return find_distinct_violation(d, lab) is None
-
-
-def verify_quasi(d: Digraph, lab: Labeling) -> bool:
-    return find_quasi_violation(d, lab) is None
-
-
-def verify_full(d: Digraph, lab: Labeling) -> bool:
-    return find_full_violation(d, lab) is None
-
-
 def find_dna_violation(d: Digraph, lab: Labeling) -> str | None:
     """First reason lab does not certify d as a DNA graph, or None: the full
     violation if there is one, else an alphabet larger than four."""
@@ -161,11 +140,6 @@ def find_dna_violation(d: Digraph, lab: Labeling) -> str | None:
     if bad is None and lab.alpha > 4:
         return f"alphabet size {lab.alpha} exceeds the four nucleotides"
     return bad
-
-
-def is_dna_certificate(d: Digraph, lab: Labeling) -> bool:
-    """True iff lab is a full labeling of d over an alphabet of at most four."""
-    return find_dna_violation(d, lab) is None
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import LINE_VERTEX_CAP, Digraph, line_digraph
+from .digraph import Digraph, line_digraph
 from .errors import ConstructionFailure, InvalidInputError, InvalidParameterError, ResourceLimitError
 from .labeling import Labeling, find_full_violation, find_quasi_violation, overlap_merge
+
+LINE_VERTEX_CAP = 100_000
 
 
 @dataclass(frozen=True)

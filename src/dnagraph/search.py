@@ -13,7 +13,6 @@ such as the squares of a ladder close, and get refuted, as early as possible.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 from .digraph import Digraph, make_ladder, middle_vertices
@@ -55,18 +54,6 @@ class SearchOutcome:
 
 class _BudgetExhausted(Exception):
     pass
-
-
-def default_node_budget() -> int:
-    """The node budget of a search not given one: DNAGRAPH_BUDGET if set,
-    else DEFAULT_NODE_BUDGET."""
-    raw = os.environ.get("DNAGRAPH_BUDGET")
-    if raw is None:
-        return DEFAULT_NODE_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidParameterError(f"DNAGRAPH_BUDGET must be an integer, got {raw!r}") from None
 
 
 def _vertex_order(d: Digraph) -> list[str]:

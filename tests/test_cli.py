@@ -204,6 +204,12 @@ def test_sequence_requires_input():
     assert err.startswith("error: sequence needs --demo") and err.count("\n") == 1
 
 
+def test_sequence_unknown_start_is_usage_error():
+    code, out, err = run_with_err(["sequence", "--demo", "--start", "ZZ"])
+    assert code == 2 and out == ""
+    assert err == "error: start vertex ZZ is not in the digraph\n"
+
+
 def test_conjecture_table():
     code, out = run(["conjecture", "--n-min", "2", "--n-max", "3"])
     assert code == 0
@@ -243,21 +249,19 @@ def test_sequence_marks_capped_count(tmp_path):
     assert out.endswith("distinct eulerian paths from this start: at least 64\n")
 
 
-def test_budget_env_var(monkeypatch, tmp_path):
-    monkeypatch.setenv("DNAGRAPH_BUDGET", "5")
+def test_search_budget_flag(tmp_path):
     g = tmp_path / "g.txt"
     run(["gen", "--family", "chorded-cycle", "--n", "15", "--out", str(g)])
-    code, out = run(["search", "--alpha", "4", "--k", "3", "--digraph", str(g)])
+    code, out = run(["search", "--alpha", "4", "--k", "3", "--budget", "5", "--digraph", str(g)])
     assert code == 0
     assert out.split()[3] == "BUDGET_EXCEEDED"
 
 
-def test_bad_budget_env_var_is_usage_error(monkeypatch, tmp_path):
-    monkeypatch.setenv("DNAGRAPH_BUDGET", "abc")
+def test_nonpositive_budget_is_usage_error(tmp_path):
     g = tmp_path / "g.txt"
     run(["gen", "--family", "ladder", "--n", "3", "--out", str(g)])
-    for argv in (["search", "--alpha", "3", "--k", "4", "--digraph", str(g)],
-                 ["conjecture", "--n-max", "2"]):
+    for argv in (["search", "--alpha", "3", "--k", "4", "--budget", "0", "--digraph", str(g)],
+                 ["conjecture", "--n-max", "2", "--budget", "0"]):
         code, out, err = run_with_err(argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1

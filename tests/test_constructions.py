@@ -2,11 +2,10 @@ import hashlib
 
 import pytest
 
-from dnagraph import (InvalidParameterError, UnsupportedParameterError, format_digraph_text,
-                      format_label, format_labeling, label_chorded_cycle,
+from dnagraph import (InvalidParameterError, UnsupportedParameterError, find_quasi_violation,
+                      format_digraph_text, format_label, format_labeling, label_chorded_cycle,
                       label_double_cycle, label_infinity_c3, label_infinity_even,
-                      label_infinity_odd, label_propeller, label_windmill,
-                      verify_distinct, verify_quasi)
+                      label_infinity_odd, label_propeller, label_windmill)
 from dnagraph.acceptance import _small_fixtures
 
 
@@ -38,7 +37,7 @@ class TestChordedCycle:
     def test_rows_are_quasi_4_3(self, n):
         res = label_chorded_cycle(n)
         assert res.labeling.alpha == 4 and res.labeling.k == 3
-        assert verify_quasi(res.digraph, res.labeling)
+        assert find_quasi_violation(res.digraph, res.labeling) is None
 
     @pytest.mark.parametrize("n", [4, 5, 15, 16])
     def test_outside_catalogue(self, n):
@@ -76,7 +75,7 @@ class TestInfinityEven:
         for p in range(n, 5 * n // 2 + 4):
             res = label_infinity_even(n, p)
             assert res.labeling.k == n // 2 + 1
-            assert verify_quasi(res.digraph, res.labeling), (n, p)
+            assert find_quasi_violation(res.digraph, res.labeling) is None, (n, p)
             shared = res.labeling.label_of("v2")
             assert shared == (1,) * (n // 2) + (2,)
 
@@ -89,12 +88,12 @@ class TestInfinityEven:
 class TestInfinityOdd:
     def test_full_length_n5(self):
         res = label_infinity_odd(5, 18)
-        assert verify_quasi(res.digraph, res.labeling)
+        assert find_quasi_violation(res.digraph, res.labeling) is None
         assert res.digraph.vertex_count == 22
 
     def test_minimum_p_equals_n(self):
         res = label_infinity_odd(5, 5)
-        assert verify_quasi(res.digraph, res.labeling)
+        assert find_quasi_violation(res.digraph, res.labeling) is None
 
     def test_n7_middle_vertex_label(self):
         # the first middle case carries two interior twos
@@ -107,7 +106,7 @@ class TestInfinityOdd:
         for p in range(n, 5 * c + 4):
             res = label_infinity_odd(n, p)
             assert res.labeling.k == c + 1
-            assert verify_quasi(res.digraph, res.labeling), (n, p)
+            assert find_quasi_violation(res.digraph, res.labeling) is None, (n, p)
 
     @pytest.mark.parametrize("n,p", [(4, 6), (3, 4), (5, 4), (5, 19)])
     def test_bad_parameters(self, n, p):
@@ -119,7 +118,7 @@ class TestInfinityC3:
     def test_full_length(self):
         res = label_infinity_c3(13)
         assert row_of(res, "v", range(1, 4)) == ["211", "112", "121"]
-        assert verify_quasi(res.digraph, res.labeling)
+        assert find_quasi_violation(res.digraph, res.labeling) is None
 
     def test_minimum_cycle(self):
         res = label_infinity_c3(4)
@@ -144,19 +143,19 @@ class TestDoubleCycle:
     def test_n4_uses_k2(self):
         res = label_double_cycle(4)
         assert res.labeling.k == 2 and res.labeling.alpha == 3
-        assert verify_quasi(res.digraph, res.labeling)
+        assert find_quasi_violation(res.digraph, res.labeling) is None
 
     def test_n5_distinct(self):
         res = label_double_cycle(5)
         assert res.labeling.k == 3
         assert len(all_labels(res)) == 9  # nine vertices, one shared
-        assert verify_distinct(res.digraph, res.labeling)
+        assert find_quasi_violation(res.digraph, res.labeling) is None
 
     @pytest.mark.parametrize("n", range(3, 16))
     def test_sweep_alpha3(self, n):
         res = label_double_cycle(n)
         assert res.labeling.alpha == 3
-        assert verify_quasi(res.digraph, res.labeling)
+        assert find_quasi_violation(res.digraph, res.labeling) is None
 
     def test_too_small(self):
         with pytest.raises(InvalidParameterError):
@@ -184,7 +183,7 @@ class TestWindmill:
     def test_sweep(self, n):
         res = label_windmill(n)
         assert res.labeling.alpha == 4 and res.labeling.k == (n + 1) // 2
-        assert verify_quasi(res.digraph, res.labeling)
+        assert find_quasi_violation(res.digraph, res.labeling) is None
 
 
 class TestPropeller:
@@ -217,7 +216,7 @@ class TestPropeller:
         for p in (n, n + 1, n + 2):
             for q in (n, n + 1, n + 2):
                 res = label_propeller(n, p, q)
-                assert verify_quasi(res.digraph, res.labeling), (n, p, q)
+                assert find_quasi_violation(res.digraph, res.labeling) is None, (n, p, q)
                 assert res.labeling.k in ((n + 1) // 2, (n + 1) // 2 + 1)
 
     @pytest.mark.parametrize("n,p,q", [(3, 3, 3), (4, 7, 4), (5, 5, 4), (6, 6, 9)])

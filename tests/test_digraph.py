@@ -1,7 +1,7 @@
 import pytest
 
 from dnagraph import (Digraph, InvalidParameterError, ResourceLimitError,
-                      chords_of, format_digraph_text, isomorphic, iterated_line_digraph,
+                      chords_of, format_digraph_text, isomorphic,
                       line_digraph, make_chorded_cycle, make_dicycle, make_dipath,
                       make_infinity, make_ladder, make_propeller3, make_windmill,
                       parse_digraph_text, to_dot)
@@ -160,26 +160,6 @@ class TestLineDigraph:
         assert set(ld.vertices) == {"v1→v2", "v2→v3", "v3→v1"}
         ld2 = line_digraph(ld)
         assert "v1→v2→v3" in ld2.vertices
-
-    def test_iterate_zero_is_identity(self):
-        d = make_chorded_cycle(8)
-        assert iterated_line_digraph(d, 0) is d
-
-    def test_iterate_matches_repeated_application(self):
-        d = make_infinity(3, 4)
-        assert iterated_line_digraph(d, 2) == line_digraph(line_digraph(d))
-
-    def test_iterate_grows_on_chorded(self):
-        d = make_chorded_cycle(12)
-        assert iterated_line_digraph(d, 1).vertex_count > d.vertex_count
-
-    def test_iterate_cap(self):
-        with pytest.raises(ResourceLimitError):
-            iterated_line_digraph(make_chorded_cycle(12), 2, vertex_cap=10)
-
-    def test_negative_iterate(self):
-        with pytest.raises(InvalidParameterError):
-            iterated_line_digraph(make_dicycle(3), -1)
 
 
 class TestIsomorphic:

@@ -1,10 +1,9 @@
 import pytest
 
-from dnagraph import (Digraph, InvalidInputError, Labeling, format_label,
-                      format_labeling, is_dna_certificate, label_chorded_cycle,
-                      make_dicycle, make_ladder, overlap_merge, parse_labeling,
-                      verify_distinct, verify_full, verify_quasi)
-from dnagraph.labeling import find_full_violation, find_quasi_violation
+from dnagraph import (Digraph, InvalidInputError, Labeling, find_dna_violation,
+                      find_full_violation, find_quasi_violation, format_label,
+                      format_labeling, label_chorded_cycle, make_dicycle, make_ladder,
+                      overlap_merge, parse_labeling)
 
 
 def cycle_labeling(alpha, labels):
@@ -37,60 +36,58 @@ class TestLabelingType:
 class TestVerifyDistinct:
     def test_catalogue_row_distinct(self):
         res = label_chorded_cycle(6)
-        assert verify_distinct(res.digraph, res.labeling)
+        assert find_quasi_violation(res.digraph, res.labeling) is None
 
     def test_constant_labels_clash(self):
         d, lab = cycle_labeling(2, [(1, 1, 1), (1, 1, 1), (1, 1, 1)])
-        assert not verify_distinct(d, lab)
+        assert find_quasi_violation(d, lab) == "vertices v1 and v2 share label 111"
 
     def test_partial_labeling_rejected(self):
         d = make_dicycle(3)
         lab = Labeling(2, 2, {"v1": (1, 1), "v2": (1, 2)})
         with pytest.raises(InvalidInputError):
-            verify_distinct(d, lab)
+            find_quasi_violation(d, lab)
         extra = Labeling(2, 2, {"v1": (1, 1), "v2": (1, 2), "v3": (2, 1), "v9": (2, 2)})
         with pytest.raises(InvalidInputError):
-            verify_distinct(d, extra)
+            find_quasi_violation(d, extra)
 
 
 class TestVerifyQuasi:
     def test_shifted_triangle(self):
         d, lab = cycle_labeling(2, [(1, 1), (1, 2), (2, 1)])
-        assert verify_quasi(d, lab)
+        assert find_quasi_violation(d, lab) is None
 
     def test_broken_shift(self):
         d, lab = cycle_labeling(2, [(1, 1), (2, 2), (2, 1)])
-        assert not verify_quasi(d, lab)
         assert "v1" in find_quasi_violation(d, lab)
 
     def test_catalogue_rows_quasi(self):
         for n in (6, 12):
             res = label_chorded_cycle(n)
-            assert verify_quasi(res.digraph, res.labeling)
+            assert find_quasi_violation(res.digraph, res.labeling) is None
 
     def test_alphabet_permutation_invariance(self):
         res = label_chorded_cycle(8)
         swapped = res.labeling.relabeled({1: 3, 2: 1, 3: 2, 4: 4})
-        assert verify_quasi(res.digraph, swapped)
+        assert find_quasi_violation(res.digraph, swapped) is None
 
 
 class TestVerifyFull:
     def test_catalogue_row_is_quasi_only(self):
         # the n=6 row overlaps 221 -> 112 without that arc existing
         res = label_chorded_cycle(6)
-        assert verify_quasi(res.digraph, res.labeling)
-        assert not verify_full(res.digraph, res.labeling)
+        assert find_quasi_violation(res.digraph, res.labeling) is None
         assert "is not an arc" in find_full_violation(res.digraph, res.labeling)
 
     def test_single_vertex(self):
         d = Digraph(["solo"], [])
         lab = Labeling(2, 2, {"solo": (1, 2)})
-        assert verify_full(d, lab)
+        assert find_full_violation(d, lab) is None
 
     def test_full_on_small_cycle(self):
         # windows of the cyclic string 1123: every overlap is one of the arcs
         d, lab = cycle_labeling(3, [(1, 1, 2), (1, 2, 3), (2, 3, 1), (3, 1, 1)])
-        assert verify_full(d, lab)
+        assert find_full_violation(d, lab) is None
 
     def test_rename_invariance(self):
         d, lab = cycle_labeling(3, [(1, 1, 2), (1, 2, 3), (2, 3, 1), (3, 1, 1)])
@@ -98,21 +95,21 @@ class TestVerifyFull:
                           [(f"n_{t}", f"n_{h}") for t, h in d.arcs])
         relab = Labeling(lab.alpha, lab.k,
                          {f"n_{v}": lab.label_of(v) for v in d.vertices})
-        assert verify_full(renamed, relab)
+        assert find_full_violation(renamed, relab) is None
 
 
 class TestDnaCertificate:
     def test_alphabet_bound(self):
         d = Digraph(["solo"], [])
-        assert not is_dna_certificate(d, Labeling(5, 2, {"solo": (1, 5)}))
-        assert is_dna_certificate(d, Labeling(4, 2, {"solo": (1, 2)}))
+        assert find_dna_violation(d, Labeling(5, 2, {"solo": (1, 5)})) is not None
+        assert find_dna_violation(d, Labeling(4, 2, {"solo": (1, 2)})) is None
 
     def test_printed_ladder_labeling(self):
         lab = Labeling(3, 4, {
             "t0": (2, 1, 1, 1), "t1": (1, 1, 1, 2), "t2": (1, 1, 2, 3),
             "b0": (1, 2, 1, 1), "b1": (1, 1, 2, 1), "b2": (3, 1, 1, 2),
         })
-        assert is_dna_certificate(make_ladder(3), lab)
+        assert find_dna_violation(make_ladder(3), lab) is None
 
 
 class TestTextFormat:

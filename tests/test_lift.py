@@ -1,9 +1,10 @@
 import pytest
 
 from dnagraph import (ConstructionFailure, InvalidInputError, InvalidParameterError,
-                      Labeling, ResourceLimitError, WALK_SEP, format_label, is_dna_certificate,
+                      Labeling, ResourceLimitError, WALK_SEP, find_dna_violation,
+                      find_full_violation, find_quasi_violation, format_label,
                       label_chorded_cycle, label_infinity_even, lift_m, lift_once,
-                      line_digraph, make_dicycle, verify_full, verify_quasi)
+                      line_digraph, make_dicycle)
 
 
 def test_single_arc_merge():
@@ -18,7 +19,7 @@ def test_lift_is_full():
         res = label_chorded_cycle(n)
         lifted, lab = lift_once(res.digraph, res.labeling)
         assert lab.k == 4
-        assert verify_full(lifted, lab)
+        assert find_full_violation(lifted, lab) is None
 
 
 def test_chorded_12_lift_labels():
@@ -34,10 +35,10 @@ def test_chorded_12_lift_labels():
 def test_dicycle_full_labeling_lifts_to_dicycle():
     d = make_dicycle(4)
     lab = Labeling(3, 3, {"v1": (1, 1, 2), "v2": (1, 2, 3), "v3": (2, 3, 1), "v4": (3, 1, 1)})
-    assert verify_full(d, lab)
+    assert find_full_violation(d, lab) is None
     lifted, lifted_lab = lift_once(d, lab)
     assert lifted.vertex_count == 4
-    assert verify_full(lifted, lifted_lab)
+    assert find_full_violation(lifted, lifted_lab) is None
 
 
 def test_prefix_suffix_law():
@@ -70,7 +71,7 @@ def test_lift_m_three_certifies():
     out = lift_m(res.digraph, res.labeling, 3)
     assert out.result_labeling.k == 6
     assert out.vertex_counts == (12, 16, 20, 28)
-    assert is_dna_certificate(out.result_digraph, out.result_labeling)
+    assert find_dna_violation(out.result_digraph, out.result_labeling) is None
 
 
 def test_lift_m_zero_rejected():
@@ -89,7 +90,7 @@ def test_lift_m_is_repeated_lift_once():
     res = label_chorded_cycle(6)
     first_d, first_lab = lift_once(res.digraph, res.labeling)
     assert first_d == line_digraph(res.digraph)
-    assert verify_quasi(first_d, first_lab)
+    assert find_quasi_violation(first_d, first_lab) is None
     second = lift_once(first_d, first_lab)
     out = lift_m(res.digraph, res.labeling, 2)
     assert (out.result_digraph, out.result_labeling) == second
@@ -110,4 +111,4 @@ def test_stage_vertex_count_equals_predecessor_arc_count():
 def test_full_implies_quasi_on_lift_output():
     res = label_chorded_cycle(7)
     lifted, lab = lift_once(res.digraph, res.labeling)
-    assert verify_full(lifted, lab) and verify_quasi(lifted, lab)
+    assert find_full_violation(lifted, lab) is None and find_quasi_violation(lifted, lab) is None

@@ -2,16 +2,18 @@
 
 The acceptance suite runs the full thousand-case sweep; these are the same
 generators exercised at smaller scale plus a few invariants that only make
-sense at unit level (renaming, permutation, determinism of the iterate).
+sense at unit level (renaming, permutation), and line_digraph checked against
+networkx where it is installed.
 """
 
 import random
 
 import pytest
 
-from dnagraph import (Digraph, Labeling, isomorphic, iterated_line_digraph,
-                      lift_once, line_digraph, verify_full, verify_quasi)
+from dnagraph import (Digraph, Labeling, find_full_violation, find_quasi_violation,
+                      isomorphic, lift_once, line_digraph)
 from dnagraph.acceptance import _random_digraph, _random_quasi_instance
+from dnagraph.digraph import _walk_join
 
 
 @pytest.fixture
@@ -27,23 +29,36 @@ def test_line_digraph_counts(rng):
         assert ld.arc_count == sum(d.in_degree(v) * d.out_degree(v) for v in d.vertices)
 
 
-def test_iterate_composes(rng):
-    for _ in range(50):
-        d = _random_digraph(rng)
-        if d.arc_count > 30:
-            continue
-        assert iterated_line_digraph(d, 2) == line_digraph(line_digraph(d))
+def test_line_digraph_matches_networkx(rng):
+    nx = pytest.importorskip("networkx")
+
+    def expected(d):
+        g = nx.DiGraph()
+        g.add_nodes_from(d.vertices)
+        g.add_edges_from(d.arcs)
+        lg = nx.line_graph(g)
+        return ({_walk_join(*arc) for arc in lg.nodes},
+                {(_walk_join(*x), _walk_join(*y)) for x, y in lg.edges})
+
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        names = [f"x{i}" for i in range(n)]
+        d = Digraph(names, [(a, b) for a in names for b in names if rng.random() < 0.3])
+        # the second round feeds walk-named vertices back in, as a lift does
+        for cur in (d, line_digraph(d)):
+            ld = line_digraph(cur)
+            assert (set(ld.vertices), set(ld.arcs)) == expected(cur)
 
 
 def test_random_quasi_instances_lift_full(rng):
     lifted_any = 0
     for _ in range(300):
         d, lab = _random_quasi_instance(rng)
-        assert verify_quasi(d, lab)
+        assert find_quasi_violation(d, lab) is None
         if d.arc_count == 0:
             continue
         ld, llab = lift_once(d, lab)
-        assert verify_full(ld, llab)
+        assert find_full_violation(ld, llab) is None
         assert llab.k == lab.k + 1
         lifted_any += 1
     assert lifted_any > 100
@@ -55,7 +70,7 @@ def test_alphabet_permutation_preserves_quasi(rng):
         perm = list(range(1, lab.alpha + 1))
         rng.shuffle(perm)
         mapping = {i + 1: perm[i] for i in range(lab.alpha)}
-        assert verify_quasi(d, lab.relabeled(mapping))
+        assert find_quasi_violation(d, lab.relabeled(mapping)) is None
 
 
 def test_iso_invariant_under_renaming(rng):
@@ -75,9 +90,9 @@ def test_iso_invariant_under_renaming(rng):
 def test_full_verifier_invariant_under_renaming(rng):
     for _ in range(100):
         d, lab = _random_quasi_instance(rng)
-        was_full = verify_full(d, lab)
+        was_full = find_full_violation(d, lab) is None
         rename = {v: f"r_{i}" for i, v in enumerate(d.vertices)}
         renamed = Digraph([rename[v] for v in d.vertices],
                           [(rename[t], rename[h]) for t, h in d.arcs])
         relab = Labeling(lab.alpha, lab.k, {rename[v]: lab.label_of(v) for v in d.vertices})
-        assert verify_full(renamed, relab) == was_full
+        assert (find_full_violation(renamed, relab) is None) == was_full

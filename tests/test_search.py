@@ -4,9 +4,9 @@ import pytest
 
 from dnagraph import (BUDGET_EXCEEDED, Digraph, InvalidParameterError, Labeling,
                       ResourceLimitError, SAT, SearchConfig, UNSAT,
-                      check_middle_vertex_lemma, explore_conjecture, find_labeling,
-                      label_chorded_cycle, make_chorded_cycle, make_dicycle,
-                      make_ladder, search, verify_full, verify_quasi)
+                      check_middle_vertex_lemma, explore_conjecture, find_full_violation,
+                      find_labeling, find_quasi_violation, label_chorded_cycle,
+                      make_chorded_cycle, make_dicycle, make_ladder, search)
 
 
 def both_orders(d, cfg):
@@ -37,10 +37,10 @@ class TestFindLabeling:
         assert labels == [(1, 1), (1, 2), (2, 1)]
 
     def test_certificate_always_verifies(self):
-        for mode, check in (("quasi", verify_quasi), ("full", verify_full)):
+        for mode, check in (("quasi", find_quasi_violation), ("full", find_full_violation)):
             out = find_labeling(make_ladder(3), SearchConfig(3, 4, mode))
             assert out.verdict == SAT
-            assert check(make_ladder(3), out.certificate)
+            assert check(make_ladder(3), out.certificate) is None
 
     def test_ladder_full_sat(self):
         out = find_labeling(make_ladder(4), SearchConfig(3, 4, "full"))
@@ -75,7 +75,7 @@ class TestFindLabeling:
 
     def test_verdict_independent_of_order(self):
         rng = random.Random(2018)
-        checks = {"quasi": verify_quasi, "full": verify_full}
+        checks = {"quasi": find_quasi_violation, "full": find_full_violation}
         node_counts_differ = 0
         for _ in range(200):
             n = rng.randint(1, 8)
@@ -86,7 +86,7 @@ class TestFindLabeling:
             outcomes = both_orders(d, SearchConfig(alpha, k, mode))
             for out in outcomes:
                 if out.verdict == SAT:
-                    assert checks[mode](d, out.certificate)
+                    assert checks[mode](d, out.certificate) is None
             verdicts = {out.verdict for out in outcomes}
             assert len(verdicts) == 1, (arcs, alpha, k, mode, verdicts)
             node_counts_differ += len({out.nodes_explored for out in outcomes}) > 1
@@ -115,7 +115,7 @@ class TestMiddleVertexLemma:
             "v4": (1, 2, 2), "v5": (2, 2, 2), "v6": (2, 2, 1),
         })
         assert not check_middle_vertex_lemma(d, fake)
-        assert not verify_quasi(d, fake)
+        assert find_quasi_violation(d, fake) is not None
 
     def test_all_oracle_certificates_satisfy_it(self):
         for n in range(6, 10):
