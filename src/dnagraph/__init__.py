@@ -8,7 +8,7 @@ certificate mechanically, and cross-checks the constructions against an
 independent backtracking search oracle.
 """
 
-from .constructions import (CHORDED_ROWS, CONSTRUCTIONS, ConstructionResult,
+from .constructions import (CHORDED_STRINGS, CONSTRUCTIONS, ConstructionResult,
                             label_chorded_cycle, label_double_cycle, label_infinity_c3,
                             label_infinity_even, label_infinity_odd, label_propeller,
                             label_windmill)
@@ -31,7 +31,7 @@ from .sequencing import (NUCLEOTIDES, Spectrum, count_eulerian_paths, eulerian_p
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUDGET_EXCEEDED", "CHORDED_ROWS", "CONSTRUCTIONS", "ConjectureRow", "ConstructionFailure",
+    "BUDGET_EXCEEDED", "CHORDED_STRINGS", "CONSTRUCTIONS", "ConjectureRow", "ConstructionFailure",
     "ConstructionResult", "Digraph", "DnaGraphError", "FAMILIES", "InvalidInputError",
     "InvalidParameterError", "Label", "Labeling", "LiftedLabeling", "NUCLEOTIDES",
     "ResourceLimitError", "SAT", "SearchConfig", "SearchOutcome", "Spectrum", "UNSAT",

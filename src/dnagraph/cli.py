@@ -126,14 +126,15 @@ def _cmd_sequence(args, out) -> int:
     for v in d.vertices:
         out.write(f"  {v}\t{names[v]}\n")
     out.write("arcs:\n")
-    for arc, merged in pevzner_arc_labels(d, lab).items():
+    arc_labels = pevzner_arc_labels(d, lab)
+    for arc, merged in arc_labels.items():
         out.write(f"  {arc[0]} {arc[1]}\t{merged}\n")
     path = eulerian_path(d, args.start)
     if path is None:
         out.write("no eulerian path\n")
         return 1
     out.write("eulerian path: " + " ".join(f"{t}>{h}" for t, h in path) + "\n")
-    spectrum = hamiltonian_via_line(d, lab, path)
+    spectrum = hamiltonian_via_line(arc_labels, path)
     out.write("hamiltonian path: " + " ".join(spectrum.source_path) + "\n")
     out.write(f"spectrum (eulerian): {spell_eulerian(lab, path)}\n")
     out.write(f"spectrum (line digraph): {spectrum.sequence}\n")

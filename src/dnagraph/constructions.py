@@ -4,8 +4,8 @@ Every construction here emits a quasi-(alpha, k)-labeling with alpha <= 4,
 which is exactly what the lift module needs to certify the line-digraph
 iterates as DNA graphs.
 
-Most labelings below are generated as the cyclic k-windows of a short
-symbol string: a cycle labeled by consecutive windows of a cyclic string
+Every labeling below is the cyclic k-windows of one short symbol string
+per cycle: a cycle labeled by consecutive windows of a cyclic string
 satisfies the shift condition by construction, so only distinctness (and
 non-collision between glued cycles) has to be arranged.  The same view
 makes the vertex-merging shrink a one-symbol string deletion.
@@ -42,43 +42,54 @@ def _windows(s: tuple[int, ...], k: int) -> list[Label]:
     return [tuple(s[(i + j) % n] for j in range(k)) for i in range(n)]
 
 
-def _checked(digraph: Digraph, labeling: Labeling, tag: str) -> ConstructionResult:
-    bad = find_quasi_violation(digraph, labeling)
+def _label_cycles(d: Digraph, strings: tuple[tuple[int, ...], ...], alpha: int, k: int,
+                  tag: str) -> ConstructionResult:
+    """Label the cycles v*, u*, w* of d (in that order) by the cyclic k-windows
+    of strings[0], strings[1], ...; the second window of every cycle sits on
+    the shared vertex v2, so all cycles must agree on it."""
+    assignment: dict[str, Label] = {}
+    for prefix, s in zip("vuw", strings):
+        labels = _windows(s, k)
+        if assignment.setdefault("v2", labels[1]) != labels[1]:
+            raise ConstructionFailure(f"{tag}: cycles disagree on the shared vertex label")
+        assignment.update((f"{prefix}{i}", label)
+                          for i, label in enumerate(labels, start=1) if i != 2)
+    labeling = Labeling(alpha, k, assignment)
+    bad = find_quasi_violation(d, labeling)
     if bad is not None:
         raise ConstructionFailure(f"{tag} construction failed self-verification: {bad}")
-    return ConstructionResult(digraph, labeling, tag)
+    return ConstructionResult(d, labeling, tag)
 
 
 # ---------------------------------------------------------------------------
-# chorded dicycles: catalogued quasi-(4,3) rows
+# chorded dicycles: catalogued quasi-(4,3) strings
 # ---------------------------------------------------------------------------
 
-# Fixed golden rows for 6 <= n <= 14, listed as l(v1),...,l(vn).  Outside this
-# window the family admits no such labeling (a chord forces its middle vertex
-# onto a constant label, and only four constant labels exist), except for the
-# single-chord cases n in {4, 5} handled by earlier work and left out here.
-CHORDED_ROWS: dict[int, str] = {
-    6:  "211,111,112,122,222,221",
-    7:  "311,111,112,122,222,223,231",
-    8:  "311,111,112,122,222,223,233,331",
-    9:  "311,111,112,122,222,223,233,333,331",
-    10: "211,111,112,122,222,223,233,333,332,321",
-    11: "211,111,112,122,222,223,233,333,332,322,221",
-    12: "411,111,112,122,222,223,233,333,334,344,444,441",
-    13: "211,111,112,122,222,223,233,333,334,344,444,442,421",
-    14: "211,111,112,122,222,223,233,333,334,344,444,442,422,221",
+# Fixed golden strings for 6 <= n <= 14: v1..vn carry their cyclic 3-windows.
+# Outside this range the family admits no such labeling (a chord forces its
+# middle vertex onto a constant label, and only four constant labels exist),
+# except for the single-chord cases n in {4, 5} handled by earlier work and
+# left out here.
+CHORDED_STRINGS: dict[int, str] = {
+    6:  "211122",
+    7:  "3111222",
+    8:  "31112223",
+    9:  "311122233",
+    10: "2111222333",
+    11: "21112223332",
+    12: "411122233344",
+    13: "2111222333444",
+    14: "21112223334442",
 }
 
 
 def label_chorded_cycle(n: int) -> ConstructionResult:
     """Quasi-(4,3)-labeling of the chorded dicycle *Cn, 6 <= n <= 14."""
-    if n not in CHORDED_ROWS:
+    if n not in CHORDED_STRINGS:
         raise UnsupportedParameterError(
             f"chorded-cycle labelings are catalogued for 6 <= n <= 14 only, got n={n}")
-    d = make_chorded_cycle(n)
-    row = [tuple(int(c) for c in word) for word in CHORDED_ROWS[n].split(",")]
-    assignment = {f"v{i}": row[i - 1] for i in range(1, n + 1)}
-    return _checked(d, Labeling(4, 3, assignment), "chorded-cycle")
+    return _label_cycles(make_chorded_cycle(n), (tuple(map(int, CHORDED_STRINGS[n])),), 4, 3,
+                         "chorded-cycle")
 
 
 # ---------------------------------------------------------------------------
@@ -122,17 +133,9 @@ def _label_blades(d: Digraph, lengths: tuple[int, ...], alpha: int,
     k = max over blades of ceil(L/2).
     """
     k = max(_ceil_half(length) for length in lengths)
-    shared: dict[str, Label] = {}
-    assignment: dict[str, Label] = {}
-    for j, (prefix, length) in enumerate(zip("vuw", lengths), start=1):
-        blade = _blade_plain if _ceil_half(length) == k else _blade_star
-        labels = _windows(blade(length, j, k), k)
-        shared[prefix] = labels[1]
-        for i, label in enumerate(labels, start=1):
-            assignment["v2" if i == 2 else f"{prefix}{i}"] = label
-    if len(set(shared.values())) != 1:
-        raise ConstructionFailure(f"{tag}: blades disagree on the shared vertex label {shared}")
-    return _checked(d, Labeling(alpha, k, assignment), tag)
+    strings = tuple((_blade_plain if _ceil_half(length) == k else _blade_star)(length, j, k)
+                    for j, length in enumerate(lengths, start=1))
+    return _label_cycles(d, strings, alpha, k, tag)
 
 
 def label_double_cycle(n: int) -> ConstructionResult:
@@ -166,31 +169,6 @@ def label_propeller(n: int, p: int, q: int) -> ConstructionResult:
 # ---------------------------------------------------------------------------
 # infinity digraphs C_n . C_p
 # ---------------------------------------------------------------------------
-
-def _infinity_v_labels(n: int) -> list[Label]:
-    """Labels of the length-n cycle, k = ceil(n/2) + 1, symbols {1,2} only."""
-    c = _ceil_half(n)
-    out: list[Label] = []
-    if n % 2 == 0:
-        for i in range(1, n + 1):
-            if i <= c:
-                out.append((1,) * (c - i + 2) + (2,) * (i - 1))
-            elif i == c + 1:
-                out.append((1,) + (2,) * (c - 1) + (1,))
-            else:
-                out.append((2,) * (n - i + 1) + (1,) * (i - c))
-    else:
-        for i in range(1, n + 1):
-            if i <= c - 1:
-                out.append((1,) * (c - i + 2) + (2,) * (i - 1))
-            elif i == c:
-                out.append((1, 1) + (2,) * (c - 2) + (1,))
-            elif i == c + 1:
-                out.append((1,) + (2,) * (c - 2) + (1, 1))
-            else:
-                out.append((2,) * (n - i + 1) + (1,) * (i - c + 1))
-    return out
-
 
 def _infinity_u_template(c: int, tail_run: bool) -> tuple[int, ...]:
     """Full-length string for the big cycle, length 5c + 3, k = c + 1.
@@ -236,32 +214,34 @@ def _shrink_string(s: tuple[int, ...], k: int, target: int, forbidden: frozenset
     return tuple(cur)
 
 
-def _infinity_build(n: int, p: int, v_labels: list[Label], tag: str) -> ConstructionResult:
-    """Label C_n . C_p: v_labels on the small cycle, and on the big cycle the
-    windows of the full-length string shrunk to p symbols."""
+def _infinity_build(n: int, p: int, v_string: tuple[int, ...], tag: str) -> ConstructionResult:
+    """Label C_n . C_p: the small cycle by the windows of v_string, and the big
+    cycle by the windows of the full-length string shrunk to p symbols."""
     c = _ceil_half(n)
+    p_min, p_max = max(n, 4), 5 * c + 3
+    if not p_min <= p <= p_max:
+        raise InvalidParameterError(f"p must satisfy {p_min} <= p <= {p_max}, got {p}")
     k = c + 1
     tail_run = n >= 6
     full = _infinity_u_template(c, tail_run)
+    v_labels = _windows(v_string, k)
     forbidden = frozenset(v_labels) - {v_labels[1]}
     if not _string_ok(full, k, forbidden):
         raise ConstructionFailure(f"{tag}: full-length cycle fails self-check")
-    u_labels = _windows(_shrink_string(full, k, p, forbidden, rightmost=tail_run), k)
-    if u_labels[1] != v_labels[1]:
-        raise ConstructionFailure(f"{tag}: cycles disagree on the shared vertex label")
-    assignment = {f"v{i}": label for i, label in enumerate(v_labels, start=1)}
-    assignment.update((f"u{i}", label) for i, label in enumerate(u_labels, start=1) if i != 2)
-    return _checked(make_infinity(n, p), Labeling(4, k, assignment), tag)
+    u_string = _shrink_string(full, k, p, forbidden, rightmost=tail_run)
+    return _label_cycles(make_infinity(n, p), (v_string, u_string), 4, k, tag)
+
+
+def _infinity_v_string(n: int) -> tuple[int, ...]:
+    """Small-cycle string 1^(c+1) 2^(n-c-1), c = ceil(n/2), read at k = c + 1."""
+    return (1,) * (_ceil_half(n) + 1) + (2,) * (n // 2 - 1)
 
 
 def label_infinity_even(n: int, p: int) -> ConstructionResult:
     """Quasi-(4, n/2 + 1)-labeling of C_n . C_p for even n >= 4, n <= p <= 5n/2 + 3."""
     if n < 4 or n % 2 != 0:
         raise InvalidParameterError("this construction needs even n >= 4")
-    p_max = 5 * (n // 2) + 3
-    if not n <= p <= p_max:
-        raise InvalidParameterError(f"p must satisfy {n} <= p <= {p_max}, got {p}")
-    return _infinity_build(n, p, _infinity_v_labels(n), "infinity-even")
+    return _infinity_build(n, p, _infinity_v_string(n), "infinity-even")
 
 
 def label_infinity_odd(n: int, p: int) -> ConstructionResult:
@@ -269,21 +249,17 @@ def label_infinity_odd(n: int, p: int) -> ConstructionResult:
     n <= p <= 5*ceil(n/2) + 3."""
     if n < 5 or n % 2 == 0:
         raise InvalidParameterError("this construction needs odd n >= 5")
-    p_max = 5 * _ceil_half(n) + 3
-    if not n <= p <= p_max:
-        raise InvalidParameterError(f"p must satisfy {n} <= p <= {p_max}, got {p}")
-    return _infinity_build(n, p, _infinity_v_labels(n), "infinity-odd")
+    return _infinity_build(n, p, _infinity_v_string(n), "infinity-odd")
 
 
 def label_infinity_c3(p: int) -> ConstructionResult:
     """Quasi-(4,3)-labeling of C_3 . C_p for 4 <= p <= 13.
 
-    The triangle is labeled 211, 112, 121 and the big cycle is the n = 3
-    case of the even construction: k = 3, length 13, no tail run.
+    The triangle is labeled by the windows of 211 (211, 112, 121) and the big
+    cycle is the n = 3 case of the even construction: k = 3, length 13, no
+    tail run.
     """
-    if not 4 <= p <= 13:
-        raise InvalidParameterError(f"p must satisfy 4 <= p <= 13, got {p}")
-    return _infinity_build(3, p, [(2, 1, 1), (1, 1, 2), (1, 2, 1)], "infinity-c3")
+    return _infinity_build(3, p, (2, 1, 1), "infinity-c3")
 
 
 # construction tag -> (parameters label_* takes, in order; label_*)

@@ -340,12 +340,12 @@ def parse_digraph_text(text: str) -> Digraph:
     return Digraph(vertices, arcs)
 
 
-def to_dot(d: Digraph, labeling=None, name: str = "dnagraph") -> str:
+def to_dot(d: Digraph, labeling=None) -> str:
     """DOT export, vertex label carries the walk name and the k-mer when given."""
     def esc(s: str) -> str:
         return s.replace("\\", "\\\\").replace('"', '\\"')
 
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph dnagraph {"]
     for v in d.vertices:
         label = esc(v)
         if labeling is not None:

@@ -49,17 +49,17 @@ def lift_once(d: Digraph, lab: Labeling) -> tuple[Digraph, Labeling]:
     return lifted, lifted_lab
 
 
-def lift_m(d: Digraph, lab: Labeling, m: int, vertex_cap: int = LINE_VERTEX_CAP) -> LiftedLabeling:
+def lift_m(d: Digraph, lab: Labeling, m: int) -> LiftedLabeling:
     """Apply lift_once m times (m >= 1), refusing a step that would build more
-    than vertex_cap vertices."""
+    than LINE_VERTEX_CAP vertices."""
     if m < 1:
         raise InvalidParameterError("lift count m must be >= 1")
     counts = [d.vertex_count]
     cur_d, cur_lab = d, lab
     for _ in range(m):
-        if cur_d.arc_count > vertex_cap:
+        if cur_d.arc_count > LINE_VERTEX_CAP:
             raise ResourceLimitError(
-                f"next lift would create {cur_d.arc_count} vertices, cap is {vertex_cap}")
+                f"next lift would create {cur_d.arc_count} vertices, cap is {LINE_VERTEX_CAP}")
         cur_d, cur_lab = lift_once(cur_d, cur_lab)
         counts.append(cur_d.vertex_count)
     return LiftedLabeling(result_digraph=cur_d, result_labeling=cur_lab,

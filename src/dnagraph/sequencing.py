@@ -96,10 +96,9 @@ def eulerian_path(d: Digraph, start: str | None = None) -> tuple[tuple[str, str]
     return tuple(trail)
 
 
-def count_eulerian_paths(d: Digraph, path: tuple[tuple[str, str], ...],
-                         cap: int = PATH_COUNT_CAP) -> int:
+def count_eulerian_paths(d: Digraph, path: tuple[tuple[str, str], ...]) -> int:
     """Number of distinct Eulerian arc sequences that start where path starts,
-    counted by exhaustive backtracking and truncated at cap.
+    counted by exhaustive backtracking and truncated at PATH_COUNT_CAP.
 
     path is an Eulerian arc sequence of d, as eulerian_path returns it.
     Reconstruction ambiguity is reported, not resolved: spelling functions
@@ -114,7 +113,7 @@ def count_eulerian_paths(d: Digraph, path: tuple[tuple[str, str], ...],
     # explicit stack, because a trail can be longer than the recursion limit
     choices = [iter(out_arcs[path[0][0]])]
     count = 0
-    while choices and count < cap:
+    while choices and count < PATH_COUNT_CAP:
         arc = next((a for a in choices[-1] if a not in used), None)
         if arc is None:
             choices.pop()
@@ -146,18 +145,13 @@ def spell_eulerian(lab: Labeling, path: tuple[tuple[str, str], ...]) -> str:
     return out
 
 
-def hamiltonian_via_line(d: Digraph, lab: Labeling,
+def hamiltonian_via_line(arc_labels: dict[tuple[str, str], str],
                          path: tuple[tuple[str, str], ...]) -> Spectrum:
-    """Map an Eulerian arc sequence of d onto the Hamiltonian vertex
-    sequence of line_digraph(d) and spell the spectrum from it."""
-    bad = find_quasi_violation(d, lab)
-    if bad is not None:
-        raise InvalidInputError(f"spectrum spelling needs a quasi-valid labeling: {bad}")
+    """Map an Eulerian arc sequence onto the Hamiltonian vertex sequence of
+    the line digraph and spell the spectrum from the (k+1)-mers that
+    pevzner_arc_labels put on those arcs."""
     vertices = tuple(_walk_join(tail, head) for tail, head in path)
-    merged = [overlap_merge(lab.label_of(t), lab.label_of(h)) for t, h in path]
-    sequence = nucleotide_string(merged[0])
-    for label in merged[1:]:
-        sequence += NUCLEOTIDES[label[-1]]
+    sequence = arc_labels[path[0]] + "".join(arc_labels[arc][-1] for arc in path[1:])
     return Spectrum(sequence=sequence, source_path=vertices)
 
 

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+import dnagraph.sequencing
 from dnagraph import (CONSTRUCTIONS, FAMILIES, Digraph, Labeling, cli, format_digraph_text,
                       format_labeling)
 
@@ -196,6 +197,20 @@ def test_sequence_demo_spells_target():
     assert code == 0
     assert "spectrum (eulerian): TACGACTA" in out
     assert "spectrum (line digraph): TACGACTA" in out
+
+
+def test_sequence_checks_the_labeling_once(monkeypatch):
+    calls = []
+    check = dnagraph.sequencing.find_quasi_violation
+
+    def counting(d, lab):
+        calls.append(d)
+        return check(d, lab)
+
+    monkeypatch.setattr(dnagraph.sequencing, "find_quasi_violation", counting)
+    code, out = run(["sequence", "--demo", "--start", "TA"])
+    assert code == 0 and "spectrum (line digraph): TACGACTA" in out
+    assert len(calls) == 1
 
 
 def test_sequence_requires_input():

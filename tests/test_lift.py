@@ -1,5 +1,6 @@
 import pytest
 
+import dnagraph.lift
 from dnagraph import (ConstructionFailure, InvalidInputError, InvalidParameterError,
                       Labeling, ResourceLimitError, WALK_SEP, find_dna_violation,
                       find_full_violation, find_quasi_violation, format_label,
@@ -80,10 +81,11 @@ def test_lift_m_zero_rejected():
         lift_m(res.digraph, res.labeling, 0)
 
 
-def test_lift_m_vertex_cap():
+def test_lift_m_vertex_cap(monkeypatch):
+    monkeypatch.setattr(dnagraph.lift, "LINE_VERTEX_CAP", 10)
     res = label_chorded_cycle(12)
     with pytest.raises(ResourceLimitError):
-        lift_m(res.digraph, res.labeling, 3, vertex_cap=10)
+        lift_m(res.digraph, res.labeling, 3)
 
 
 def test_lift_m_is_repeated_lift_once():

@@ -2,16 +2,16 @@
 
 The acceptance suite runs the full thousand-case sweep; these are the same
 generators exercised at smaller scale plus a few invariants that only make
-sense at unit level (renaming, permutation), and line_digraph checked against
-networkx where it is installed.
+sense at unit level (renaming, permutation), and line_digraph, isomorphic
+and eulerian_path checked against networkx where it is installed.
 """
 
 import random
 
 import pytest
 
-from dnagraph import (Digraph, Labeling, find_full_violation, find_quasi_violation,
-                      isomorphic, lift_once, line_digraph)
+from dnagraph import (Digraph, Labeling, eulerian_path, find_full_violation,
+                      find_quasi_violation, isomorphic, lift_once, line_digraph)
 from dnagraph.acceptance import _random_digraph, _random_quasi_instance
 from dnagraph.digraph import _walk_join
 
@@ -19,6 +19,19 @@ from dnagraph.digraph import _walk_join
 @pytest.fixture
 def rng():
     return random.Random(1729)
+
+
+def _loopy_digraph(rng):
+    """Random digraph on 1..7 vertices, self-loops included."""
+    names = [f"x{i}" for i in range(rng.randint(1, 7))]
+    return Digraph(names, [(a, b) for a in names for b in names if rng.random() < 0.3])
+
+
+def _nx_digraph(nx, d):
+    g = nx.DiGraph()
+    g.add_nodes_from(d.vertices)
+    g.add_edges_from(d.arcs)
+    return g
 
 
 def test_line_digraph_counts(rng):
@@ -33,17 +46,12 @@ def test_line_digraph_matches_networkx(rng):
     nx = pytest.importorskip("networkx")
 
     def expected(d):
-        g = nx.DiGraph()
-        g.add_nodes_from(d.vertices)
-        g.add_edges_from(d.arcs)
-        lg = nx.line_graph(g)
+        lg = nx.line_graph(_nx_digraph(nx, d))
         return ({_walk_join(*arc) for arc in lg.nodes},
                 {(_walk_join(*x), _walk_join(*y)) for x, y in lg.edges})
 
     for _ in range(200):
-        n = rng.randint(1, 7)
-        names = [f"x{i}" for i in range(n)]
-        d = Digraph(names, [(a, b) for a in names for b in names if rng.random() < 0.3])
+        d = _loopy_digraph(rng)
         # the second round feeds walk-named vertices back in, as a lift does
         for cur in (d, line_digraph(d)):
             ld = line_digraph(cur)
@@ -96,3 +104,41 @@ def test_full_verifier_invariant_under_renaming(rng):
                           [(rename[t], rename[h]) for t, h in d.arcs])
         relab = Labeling(lab.alpha, lab.k, {rename[v]: lab.label_of(v) for v in d.vertices})
         assert (find_full_violation(renamed, relab) is None) == was_full
+
+
+def test_isomorphic_matches_networkx(rng):
+    nx = pytest.importorskip("networkx")
+    verdicts = set()
+    for _ in range(1000):
+        a = _loopy_digraph(rng)
+        names = list(a.vertices)
+        rng.shuffle(names)
+        rename = dict(zip(a.vertices, names))
+        arcs = [(rename[t], rename[h]) for t, h in a.arcs]
+        for _ in range(rng.randint(0, 3)):
+            # swap the heads of two arcs: every in- and out-degree stays
+            if len(arcs) >= 2:
+                i, j = rng.sample(range(len(arcs)), 2)
+                (s, t), (u, v) = arcs[i], arcs[j]
+                if (s, v) not in arcs and (u, t) not in arcs:
+                    arcs[i], arcs[j] = (s, v), (u, t)
+        b = Digraph(names, arcs)
+        got = isomorphic(a, b)
+        assert got == nx.is_isomorphic(_nx_digraph(nx, a), _nx_digraph(nx, b)), (a.arcs, b.arcs)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_eulerian_path_matches_networkx(rng):
+    nx = pytest.importorskip("networkx")
+    verdicts = []
+    while len(verdicts) < 300:
+        d = _loopy_digraph(rng)
+        if d.arc_count == 0:
+            continue
+        g = _nx_digraph(nx, d)
+        g.remove_nodes_from(list(nx.isolates(g)))
+        expected = nx.has_eulerian_path(g)
+        assert (eulerian_path(d) is not None) == expected, d.arcs
+        verdicts.append(expected)
+    assert 0 < sum(verdicts) < len(verdicts)
