@@ -38,8 +38,8 @@ def _ceil_half(x: int) -> int:
 
 def _windows(s: tuple[int, ...], k: int) -> list[Label]:
     """All cyclic k-windows of s, one per start position."""
-    n = len(s)
-    return [tuple(s[(i + j) % n] for j in range(k)) for i in range(n)]
+    ring = s * (k // len(s) + 2)
+    return [ring[i:i + k] for i in range(len(s))]
 
 
 def _label_cycles(d: Digraph, strings: tuple[tuple[int, ...], ...], alpha: int, k: int,

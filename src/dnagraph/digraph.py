@@ -1,17 +1,20 @@
 """Finite simple digraphs, the family generators, and line-digraph machinery.
 
-Vertices are plain strings.  Vertices created by the line-digraph operator
-are walk names: the arc u->v becomes the vertex ``u→v``, so the m-th iterate
-names its vertices by length-(m+1) walks of the base digraph and every label
-stays auditable against the generating walk.  Digraphs are immutable after
-construction and iteration order is fixed, which keeps file exports,
-searches, and golden tests deterministic.
+Vertices are plain strings: non-empty, without whitespace, so that every
+name is one token of the text formats.  Vertices created by the line-digraph
+operator are walk names: the arc u->v becomes the vertex ``u→v``, so the
+m-th iterate names its vertices by length-(m+1) walks of the base digraph
+and every label stays auditable against the generating walk.  Digraphs are
+immutable after construction and iteration order is fixed, which keeps file
+exports, searches, and golden tests deterministic.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterator
-from itertools import chain
+from itertools import chain, count, repeat
+from operator import add, mul
 
 from .errors import InvalidParameterError, ResourceLimitError
 
@@ -20,25 +23,55 @@ WALK_SEP = "→"
 ISO_SIZE_CAP = 12
 
 
-class Digraph:
-    """Immutable digraph with ordered vertex set and ordered simple arc set."""
+def _check_names(names: tuple[str, ...]) -> None:
+    """Reject a name the text formats cannot carry: empty, or holding whitespace."""
+    joined = "".join(names)
+    if not names or (all(names) and joined.split(None, 1) == [joined]):
+        return
+    bad = next(v for v in names if v.split() != [v])
+    raise InvalidParameterError(f"vertex name {bad!r} is empty or contains whitespace")
 
-    __slots__ = ("_vertices", "_arcs", "_vset", "_arcset", "_out", "_in")
+
+class Digraph:
+    """Immutable digraph with ordered vertex set and ordered simple arc set.
+
+    The arcs are two index lists into the vertex tuple, arc i being
+    tail[i] -> head[i]: line digraphs, both text formats and the verifiers
+    work on these.  A digraph built from name pairs keeps its pairs and
+    makes the index lists on first request; one built from index lists
+    makes the name pairs on first request.  Either way a small digraph pays
+    for no conversion it does not use, and a large one never holds its arcs
+    as name tuples unless asked.
+    """
+
+    __slots__ = ("_vertices", "_arcs", "_tail", "_head", "_vset", "_arcset", "_out", "_in")
 
     def __init__(self, vertices, arcs):
         self._vertices = tuple(vertices)
         self._vset = frozenset(self._vertices)
         if len(self._vset) != len(self._vertices):
             raise InvalidParameterError("duplicate vertex name in vertex set")
+        _check_names(self._vertices)
         arcs = tuple(map(tuple, arcs))
         self._arcset = frozenset(arcs)
         if (len(self._arcset) != len(arcs) or not frozenset(map(len, arcs)) <= {2}
                 or not self._vset.issuperset(chain.from_iterable(arcs))):
             self._first_arc_error(arcs)
         self._arcs = arcs
-        # adjacency is built on the first neighbour or degree query; the lift
-        # path never makes one, so its large digraphs never pay for it
-        self._out = self._in = None
+        # index lists and adjacency are built on first request
+        self._tail = self._head = self._out = self._in = None
+
+    @classmethod
+    def _from_indices(cls, vertices: tuple[str, ...], tail: list[int], head: list[int]) -> "Digraph":
+        """Digraph whose arc i is vertices[tail[i]] -> vertices[head[i]].
+
+        The caller guarantees what __init__ would check: names distinct and
+        valid, indices in range, no arc twice.
+        """
+        d = cls.__new__(cls)
+        d._vertices, d._tail, d._head = vertices, tail, head
+        d._arcs = d._vset = d._arcset = d._out = d._in = None
+        return d
 
     def _first_arc_error(self, arcs):
         """Raise the error of the first bad arc, in arc order."""
@@ -51,10 +84,18 @@ class Digraph:
                 raise InvalidParameterError(f"duplicate arc {tail} -> {head}")
             seen.add((tail, head))
 
+    def _index_arcs(self) -> tuple[list[int], list[int]]:
+        """(tail, head): arc i runs from vertex tail[i] to vertex head[i]."""
+        if self._tail is None:
+            index = dict(zip(self._vertices, range(len(self._vertices))))
+            ends = list(map(index.__getitem__, chain.from_iterable(self._arcs)))
+            self._tail, self._head = ends[0::2], ends[1::2]
+        return self._tail, self._head
+
     def _build_adjacency(self):
         out = {v: [] for v in self._vertices}
         inc = {v: [] for v in self._vertices}
-        for tail, head in self._arcs:
+        for tail, head in self.arcs:
             out[tail].append(head)
             inc[head].append(tail)
         self._out = {v: tuple(ns) for v, ns in out.items()}
@@ -66,6 +107,10 @@ class Digraph:
 
     @property
     def arcs(self) -> tuple[tuple[str, str], ...]:
+        if self._arcs is None:
+            names = self._vertices
+            self._arcs = tuple(zip(map(names.__getitem__, self._tail),
+                                   map(names.__getitem__, self._head)))
         return self._arcs
 
     @property
@@ -74,12 +119,16 @@ class Digraph:
 
     @property
     def arc_count(self) -> int:
-        return len(self._arcs)
+        return len(self._tail if self._arcs is None else self._arcs)
 
     def has_vertex(self, v: str) -> bool:
+        if self._vset is None:
+            self._vset = frozenset(self._vertices)
         return v in self._vset
 
     def has_arc(self, tail: str, head: str) -> bool:
+        if self._arcset is None:
+            self._arcset = frozenset(self.arcs)
         return (tail, head) in self._arcset
 
     def out_neighbors(self, v: str) -> tuple[str, ...]:
@@ -101,10 +150,12 @@ class Digraph:
     def __eq__(self, other):
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self._vertices == other._vertices and self._arcs == other._arcs
+        # equal vertex tuples index alike, so equal index lists mean equal arcs
+        return self._vertices == other._vertices and self._index_arcs() == other._index_arcs()
 
     def __hash__(self):
-        return hash((self._vertices, self._arcs))
+        tail, head = self._index_arcs()
+        return hash((self._vertices, tuple(tail), tuple(head)))
 
     def __repr__(self):
         return f"Digraph(|V|={self.vertex_count}, |A|={self.arc_count})"
@@ -238,13 +289,22 @@ def _walk_join(tail: str, head: str) -> str:
 
 
 def line_digraph(d: Digraph) -> Digraph:
-    """Digraph on the arcs of d; x -> y present iff head(x) = tail(y)."""
-    names = [_walk_join(tail, head) for tail, head in d.arcs]
-    by_tail: dict[str, list[str]] = {}
-    for (tail, _), name in zip(d.arcs, names):
-        by_tail.setdefault(tail, []).append(name)
-    arcs = [(x, y) for (_, head), x in zip(d.arcs, names) for y in by_tail.get(head, ())]
-    return Digraph(names, arcs)
+    """Digraph on the arcs of d; x -> y present iff head(x) = tail(y).
+
+    Vertex i of L(d) is arc i of d, and its out-arcs are those to the arcs
+    leaving head(i), in arc order."""
+    tail, head = d._index_arcs()
+    names = d.vertices
+    walks = tuple(map(_walk_join, map(names.__getitem__, tail), map(names.__getitem__, head)))
+    if len(frozenset(walks)) != len(walks):
+        # only names holding WALK_SEP can make two walks read alike
+        raise InvalidParameterError("duplicate vertex name in vertex set")
+    leaving: list[list[int]] = [[] for _ in names]
+    for arc, t in enumerate(tail):
+        leaving[t].append(arc)
+    successors = list(map(leaving.__getitem__, head))
+    line_tail = list(chain.from_iterable(map(repeat, range(len(tail)), map(len, successors))))
+    return Digraph._from_indices(walks, line_tail, list(chain.from_iterable(successors)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,39 +365,58 @@ def isomorphic(a: Digraph, b: Digraph) -> bool:
 def format_digraph_text(d: Digraph) -> str:
     """Plain-text format: header ``n m``, one ``tail head`` line per arc, then
     one line per isolated vertex holding just its name."""
-    lines = [f"{d.vertex_count} {d.arc_count}"]
-    lines += map(" ".join, d.arcs)
-    isolated = d._vset.difference(chain.from_iterable(d.arcs))
-    lines += [v for v in d.vertices if v in isolated]
-    return "\n".join(lines) + "\n"
+    tail, head = d._index_arcs()
+    names = d.vertices
+    spaced = [v + " " for v in names]
+    # one join over the names themselves: no per-line string is ever built
+    pieces = [f"{len(names)} {len(tail)}\n"]
+    pieces += chain.from_iterable(zip(map(spaced.__getitem__, tail), map(names.__getitem__, head),
+                                      repeat("\n")))
+    for i in sorted(set(range(len(names))).difference(tail, head)):
+        pieces += (names[i], "\n")
+    return "".join(pieces)
 
 
 def parse_digraph_text(text: str) -> Digraph:
-    # one row at a time: each token list is freed as soon as its line is read
+    # one row at a time, each name numbered on first sight: no row is kept,
+    # and every arc is two indices from the start
     rows = filter(None, map(str.split, text.splitlines()))
     header = next(rows, None)
     if header is None or len(header) != 2:
         raise InvalidParameterError("digraph text must start with a header line 'n m'")
     n, m = (int(x) for x in header)
-    arcs = []
+    index: defaultdict[str, int] = defaultdict(count().__next__)
+    tail: list[int] = []
+    head: list[int] = []
+    add_tail, add_head = tail.append, head.append
     isolated = []
     for row in rows:
         if len(row) == 2:
-            arcs.append((row[0], row[1]))
+            t, h = row
+            add_tail(index[t])
+            add_head(index[h])
         elif len(row) == 1:
             isolated.append(row[0])
         else:
             raise InvalidParameterError(f"malformed arc line: {' '.join(row)!r}")
-    if len(arcs) != m:
-        raise InvalidParameterError(f"expected {m} arc lines, found {len(arcs)}")
-    vertices = dict.fromkeys(chain.from_iterable(arcs))
+    if len(tail) != m:
+        raise InvalidParameterError(f"expected {m} arc lines, found {len(tail)}")
     for name in isolated:
-        if name in vertices:
+        if name in index:
             raise InvalidParameterError(f"vertex line {name!r} names a vertex already in the file")
-        vertices[name] = None
-    if len(vertices) != n:
-        raise InvalidParameterError(f"header says {n} vertices, file names {len(vertices)}")
-    return Digraph(vertices, arcs)
+        index[name]  # numbers the isolated vertex after every arc endpoint
+    if len(index) != n:
+        raise InvalidParameterError(f"header says {n} vertices, file names {len(index)}")
+    vertices = tuple(index)
+    # arc t -> h has the code t*n + h, so a repeated arc is a repeated code
+    codes = map(add, map(mul, tail, repeat(n)), head)
+    if len(set(codes)) != m:
+        seen = set()
+        for t, h in zip(tail, head):
+            if (t, h) in seen:
+                raise InvalidParameterError(f"duplicate arc {vertices[t]} -> {vertices[h]}")
+            seen.add((t, h))
+    return Digraph._from_indices(vertices, tail, head)
 
 
 def to_dot(d: Digraph, labeling=None) -> str:

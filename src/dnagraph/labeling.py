@@ -16,11 +16,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from operator import eq, getitem
 
 from .digraph import Digraph
 from .errors import InvalidInputError
 
 Label = tuple[int, ...]
+
+# a label's (k-1)-suffix and (k-1)-prefix, as slices
+_SUFFIX = slice(1, None)
+_PREFIX = slice(None, -1)
 
 
 def format_label(label: Label) -> str:
@@ -46,17 +52,28 @@ class Labeling:
             raise InvalidInputError("alpha must be a positive integer")
         if self.k < 2:
             raise InvalidInputError("label length k must be greater than 1")
-        clean = {}
-        k = self.k
         symbols = frozenset(range(1, self.alpha + 1))
+        labels = list(self.assignment.values())
+        # merged labels arrive as int tuples already; parsed ones as strings
+        if not (set(map(type, labels)) <= {tuple}
+                and set(map(type, chain.from_iterable(labels))) <= {int}):
+            try:
+                labels = list(map(tuple, map(map, repeat(int), labels)))
+            except (TypeError, ValueError):
+                labels = None
+        if (labels is None or not {self.k}.issuperset(map(len, labels))
+                or not symbols.issuperset(chain.from_iterable(labels))):
+            self._first_label_error(symbols)
+        object.__setattr__(self, "assignment", dict(zip(self.assignment, labels)))
+
+    def _first_label_error(self, symbols: frozenset[int]) -> None:
+        """Raise the error of the first bad label, in assignment order."""
         for v, raw in self.assignment.items():
             label = tuple(map(int, raw))
-            if len(label) != k:
-                raise InvalidInputError(f"label for {v} has length {len(label)}, expected k={k}")
+            if len(label) != self.k:
+                raise InvalidInputError(f"label for {v} has length {len(label)}, expected k={self.k}")
             if not symbols.issuperset(label):
                 raise InvalidInputError(f"label for {v} uses symbols outside 1..{self.alpha}")
-            clean[v] = label
-        object.__setattr__(self, "assignment", clean)
 
     def label_of(self, v: str) -> Label:
         return self.assignment[v]
@@ -74,14 +91,41 @@ def overlap_merge(a: Label, b: Label) -> Label:
     return a + (b[-1],)
 
 
-def _require_total(d: Digraph, lab: Labeling) -> None:
+def _aligned(d: Digraph, lab: Labeling) -> list[Label]:
+    """The labels in vertex order; lab must label exactly the vertices of d."""
+    labels = lab.assignment
+    if len(labels) == d.vertex_count:
+        try:
+            return list(map(labels.__getitem__, d.vertices))
+        except KeyError:
+            pass
     want = set(d.vertices)
-    if lab.assignment.keys() != want:
-        have = set(lab.assignment)
-        missing = sorted(want - have)
-        extra = sorted(have - want)
-        raise InvalidInputError(
-            f"labeling is not total over the digraph (missing={missing[:3]}, extra={extra[:3]})")
+    have = set(labels)
+    missing = sorted(want - have)
+    extra = sorted(have - want)
+    raise InvalidInputError(
+        f"labeling is not total over the digraph (missing={missing[:3]}, extra={extra[:3]})")
+
+
+def _quasi(d: Digraph, lab: Labeling) -> tuple[str | None, list[Label]]:
+    """(first quasi violation or None, the labels in vertex order)."""
+    labels = _aligned(d, lab)
+    if len(set(labels)) != len(labels):
+        seen: dict[Label, str] = {}
+        for v, label in zip(d.vertices, labels):
+            if label in seen:
+                return f"vertices {seen[label]} and {v} share label {format_label(label)}", labels
+            seen[label] = v
+    tail, head = d._index_arcs()
+    if not all(map(eq, map(getitem, map(labels.__getitem__, tail), repeat(_SUFFIX)),
+                   map(getitem, map(labels.__getitem__, head), repeat(_PREFIX)))):
+        names = d.vertices
+        for t, h in zip(tail, head):
+            suffix, prefix = labels[t][1:], labels[h][:-1]
+            if suffix != prefix:
+                return (f"arc {names[t]} -> {names[h]}: suffix {format_label(suffix)} "
+                        f"does not match prefix {format_label(prefix)}"), labels
+    return None, labels
 
 
 def find_quasi_violation(d: Digraph, lab: Labeling) -> str | None:
@@ -90,42 +134,26 @@ def find_quasi_violation(d: Digraph, lab: Labeling) -> str | None:
     Symbol bounds are enforced by the Labeling constructor, so only
     distinctness and the arc shift condition are checked here.
     """
-    _require_total(d, lab)
-    labels = lab.assignment
-    if len(set(labels.values())) != len(labels):
-        seen: dict[Label, str] = {}
-        for v in d.vertices:
-            label = labels[v]
-            if label in seen:
-                return f"vertices {seen[label]} and {v} share label {format_label(label)}"
-            seen[label] = v
-    for tail, head in d.arcs:
-        lt = labels[tail]
-        lh = labels[head]
-        if lt[1:] != lh[:-1]:
-            return (f"arc {tail} -> {head}: suffix {format_label(lt[1:])} "
-                    f"does not match prefix {format_label(lh[:-1])}")
-    return None
+    return _quasi(d, lab)[0]
 
 
 def find_full_violation(d: Digraph, lab: Labeling) -> str | None:
     """First violation of the full deBruijn property, or None."""
-    bad = find_quasi_violation(d, lab)
+    bad, labels = _quasi(d, lab)
     if bad is not None:
         return bad
     # Quasi holds, so every arc x -> y is an overlapping ordered pair
     # (suffix(x) = prefix(y), x = y included), and arcs are distinct: the arc
     # set is a subset of the overlap pairs, and equals it iff the two counts
     # agree.  Labels are distinct, so counting by label counts vertex pairs.
-    labels = lab.assignment
-    prefix_count = Counter(label[:-1] for label in labels.values())
-    if sum(prefix_count[label[1:]] for label in labels.values()) == d.arc_count:
+    prefix_count = Counter(map(getitem, labels, repeat(_PREFIX)))
+    if sum(map(prefix_count.get, map(getitem, labels, repeat(_SUFFIX)), repeat(0))) == d.arc_count:
         return None
     by_prefix: dict[Label, list[str]] = {}
-    for v in d.vertices:
-        by_prefix.setdefault(labels[v][:-1], []).append(v)
-    for x in d.vertices:
-        suffix = labels[x][1:]
+    for v, label in zip(d.vertices, labels):
+        by_prefix.setdefault(label[:-1], []).append(v)
+    for x, label in zip(d.vertices, labels):
+        suffix = label[1:]
         for y in by_prefix.get(suffix, ()):
             if not d.has_arc(x, y):
                 return (f"overlap pair {x}, {y} (shared window {format_label(suffix)}) "
@@ -149,24 +177,25 @@ def find_dna_violation(d: Digraph, lab: Labeling) -> str | None:
 def format_labeling(lab: Labeling) -> str:
     """Header ``alpha k`` then one ``vertex<TAB>s1 s2 ... sk`` line per vertex,
     ordered by vertex name."""
-    lines = [f"{lab.alpha} {lab.k}"]
     labels = lab.assignment
-    lines += [v + "\t" + " ".join(map(str, labels[v])) for v in sorted(labels)]
-    return "\n".join(lines) + "\n"
+    names = sorted(labels)
+    row = "\t" + " ".join(["%d"] * lab.k) + "\n"
+    pieces = [f"{lab.alpha} {lab.k}\n"]
+    pieces += chain.from_iterable(zip(names, map(row.__mod__, map(labels.__getitem__, names))))
+    return "".join(pieces)
 
 
 def parse_labeling(text: str) -> Labeling:
-    rows = [line for line in text.splitlines() if line.strip()]
+    rows = [line for line in text.splitlines() if line and not line.isspace()]
     if not rows:
         raise InvalidInputError("empty labeling text")
     header = rows[0].split()
     if len(header) != 2:
         raise InvalidInputError("labeling text must start with a header line 'alpha k'")
     alpha, k = int(header[0]), int(header[1])
-    # symbols stay strings here, Labeling converts each one once; a tuple
-    # holds them in less memory than the list split returns
-    assignment: dict[str, tuple[str, ...]] = {}
-    for row in rows[1:]:
+    # symbols stay strings here, Labeling converts them all at once
+    assignment: dict[str, list[str]] = {}
+    for row in islice(rows, 1, None):
         name, _, symbols = row.partition("\t")
         if not symbols:
             parts = row.split()
@@ -174,5 +203,5 @@ def parse_labeling(text: str) -> Labeling:
         name = name.strip()
         if name in assignment:
             raise InvalidInputError(f"vertex {name} labeled twice")
-        assignment[name] = tuple(symbols.split())
+        assignment[name] = symbols.split()
     return Labeling(alpha, k, assignment)

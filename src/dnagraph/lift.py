@@ -11,10 +11,12 @@ which makes the guarantee itself a permanent regression check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, getitem
 
 from .digraph import Digraph, line_digraph
 from .errors import ConstructionFailure, InvalidInputError, InvalidParameterError, ResourceLimitError
-from .labeling import Labeling, find_full_violation, find_quasi_violation, overlap_merge
+from .labeling import Labeling, find_full_violation, find_quasi_violation
 
 LINE_VERTEX_CAP = 100_000
 
@@ -38,10 +40,13 @@ def lift_once(d: Digraph, lab: Labeling) -> tuple[Digraph, Labeling]:
     if bad is not None:
         raise InvalidInputError(f"lift needs a quasi-valid labeling: {bad}")
     lifted = line_digraph(d)
-    labels = lab.assignment
-    # line_digraph names its vertices in the order of d's arcs
-    assignment = {name: overlap_merge(labels[tail], labels[head])
-                  for name, (tail, head) in zip(lifted.vertices, d.arcs)}
+    # vertex i of L(d) is arc i of d; the quasi check above has matched the
+    # overlap of every arc, so each merge is the tail label plus one symbol
+    labels = list(map(lab.assignment.__getitem__, d.vertices))
+    last = list(map(getitem, labels, repeat(slice(-1, None))))
+    tail, head = d._index_arcs()
+    merged = map(add, map(labels.__getitem__, tail), map(last.__getitem__, head))
+    assignment = dict(zip(lifted.vertices, merged))
     lifted_lab = Labeling(lab.alpha, lab.k + 1, assignment)
     bad = find_full_violation(lifted, lifted_lab)
     if bad is not None:

@@ -25,6 +25,17 @@ class TestDigraphType:
         with pytest.raises(InvalidParameterError):
             Digraph(["a", "a"], [])
 
+    @pytest.mark.parametrize("name", ["a b", " x", "x\t", "", "\n", "a\u00a0b"])
+    def test_rejects_names_the_text_format_cannot_carry(self, name):
+        with pytest.raises(InvalidParameterError,
+                           match=r"vertex name .* is empty or contains whitespace"):
+            Digraph([name, "c"], [(name, "c")])
+
+    def test_reports_the_first_bad_name(self):
+        with pytest.raises(InvalidParameterError) as exc:
+            Digraph(["ok", "a b", ""], [])
+        assert str(exc.value) == "vertex name 'a b' is empty or contains whitespace"
+
     def test_neighbor_order_is_insertion_order(self):
         d = Digraph(["a", "b", "c"], [("a", "c"), ("a", "b")])
         assert d.out_neighbors("a") == ("c", "b")

@@ -1,17 +1,20 @@
 """Differential tests: the set- and count-based checks against plain loops.
 
 Each reference below is the straightforward per-element loop: split walk
-names, probe every arc, probe every overlap pair.  The library's versions
-must give the same names and the same first-error messages, None included.
+names, read the text one row of name pairs at a time, probe every arc, probe
+every overlap pair.  The library's versions must give the same names, the
+same digraphs and the same first-error messages, None included.
 """
 
 import itertools
 import random
+from itertools import chain
 
 import pytest
 
 from dnagraph import (Digraph, InvalidParameterError, Labeling, WALK_SEP,
-                      find_full_violation, find_quasi_violation, format_label)
+                      find_full_violation, find_quasi_violation, format_label, line_digraph,
+                      parse_digraph_text)
 from dnagraph.acceptance import _random_quasi_instance
 from dnagraph.digraph import _walk_join
 
@@ -34,6 +37,33 @@ def reference_arc_error(vertices, arcs):
             return f"duplicate arc {tail} -> {head}"
         seen.add((tail, head))
     return None
+
+
+def reference_parse_digraph_text(text):
+    rows = filter(None, map(str.split, text.splitlines()))
+    header = next(rows, None)
+    if header is None or len(header) != 2:
+        raise InvalidParameterError("digraph text must start with a header line 'n m'")
+    n, m = (int(x) for x in header)
+    arcs = []
+    isolated = []
+    for row in rows:
+        if len(row) == 2:
+            arcs.append((row[0], row[1]))
+        elif len(row) == 1:
+            isolated.append(row[0])
+        else:
+            raise InvalidParameterError(f"malformed arc line: {' '.join(row)!r}")
+    if len(arcs) != m:
+        raise InvalidParameterError(f"expected {m} arc lines, found {len(arcs)}")
+    vertices = dict.fromkeys(chain.from_iterable(arcs))
+    for name in isolated:
+        if name in vertices:
+            raise InvalidParameterError(f"vertex line {name!r} names a vertex already in the file")
+        vertices[name] = None
+    if len(vertices) != n:
+        raise InvalidParameterError(f"header says {n} vertices, file names {len(vertices)}")
+    return Digraph(vertices, arcs)
 
 
 def reference_distinct(d, lab):
@@ -127,3 +157,73 @@ def test_verifiers_match_reference_on_corrupted_instances():
             outcomes.add(full.split()[0] if full else None)
     # every kind of first violation, and none, occurred
     assert outcomes == {None, "vertices", "arc", "overlap"}
+
+
+def random_digraph_text(rng):
+    """Digraph text with isolated-vertex lines anywhere, blank lines, tabs and
+    runs of spaces; some texts carry a wrong header count, a repeated arc, a
+    three-token line or a vertex line naming an arc endpoint."""
+    names = [f"x{i}" for i in range(rng.randint(1, 7))] + [f"x0{WALK_SEP}x1"]
+    arcs = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 9))]
+    if rng.random() < 0.7:
+        arcs = list(dict.fromkeys(arcs))
+    on_arcs = set(chain.from_iterable(arcs))
+    isolated = [v for v in names if v not in on_arcs and rng.random() < 0.6]
+    if on_arcs and rng.random() < 0.1:
+        isolated.append(rng.choice(sorted(on_arcs)))
+    rows = [[t, h] for t, h in arcs] + [[v] for v in isolated]
+    if rng.random() < 0.1:
+        rows.append(rng.sample(names, 2) + ["x9"])
+    rng.shuffle(rows)
+    n = len(on_arcs | set(isolated)) + (rng.choice((-1, 1)) if rng.random() < 0.1 else 0)
+    m = len(arcs) + (rng.choice((-1, 1)) if rng.random() < 0.1 else 0)
+    rows.insert(0, rng.choice(([str(n), str(m)], [str(n), str(m)], [str(n)], [str(n), "m"])))
+    gaps = (" ", " ", "  ", "\t", " \t ")
+    lines = []
+    for row in rows:
+        while rng.random() < 0.2:
+            lines.append(rng.choice(("", " ", "\t", "  \t ")))
+        lead, inner, trail = (rng.choice(gaps) for _ in range(3))
+        lines.append(lead * rng.randint(0, 1) + inner.join(row) + trail * rng.randint(0, 1))
+    return "\n".join(lines) + rng.choice(("", "\n", "\n\n"))
+
+
+def parse_outcome(parse, text):
+    try:
+        d = parse(text)
+    except ValueError as exc:  # InvalidParameterError, or int() on a bad header
+        return type(exc).__name__, str(exc)
+    return d
+
+
+def test_parse_matches_reference_on_random_texts():
+    rng = random.Random(2024)
+    kinds = set()
+    for _ in range(3000):
+        text = random_digraph_text(rng)
+        got = parse_outcome(parse_digraph_text, text)
+        want = parse_outcome(reference_parse_digraph_text, text)
+        if isinstance(want, Digraph):
+            assert isinstance(got, Digraph), (text, got)
+            assert (got.vertices, got.arcs) == (want.vertices, want.arcs), text
+            assert got == want and hash(got) == hash(want)
+            kinds.add("ok")
+        else:
+            assert got == want, text
+            kinds.add(want[1].split()[0])
+    # a digraph and every kind of first error occurred
+    assert kinds == {"ok", "digraph", "invalid", "malformed", "expected", "vertex", "header",
+                     "duplicate"}
+
+
+def test_line_digraph_from_indices_equals_one_from_name_pairs():
+    rng = random.Random(99)
+    for _ in range(300):
+        text = random_digraph_text(rng)
+        if not isinstance(parse_outcome(reference_parse_digraph_text, text), Digraph):
+            continue
+        for d in (parse_digraph_text(text), reference_parse_digraph_text(text)):
+            ld = line_digraph(d)
+            rebuilt = Digraph(ld.vertices, ld.arcs)
+            assert ld == rebuilt and rebuilt == ld
+            assert hash(ld) == hash(rebuilt)

@@ -1,3 +1,7 @@
+import hashlib
+import io
+import random
+
 import pytest
 
 import dnagraph.lift
@@ -5,7 +9,9 @@ from dnagraph import (ConstructionFailure, InvalidInputError, InvalidParameterEr
                       Labeling, ResourceLimitError, WALK_SEP, find_dna_violation,
                       find_full_violation, find_quasi_violation, format_label,
                       label_chorded_cycle, label_infinity_even, lift_m, lift_once,
-                      line_digraph, make_dicycle)
+                      line_digraph, make_dicycle, overlap_merge)
+from dnagraph.acceptance import _random_quasi_instance, _small_fixtures
+from dnagraph.cli import main
 
 
 def test_single_arc_merge():
@@ -114,3 +120,38 @@ def test_full_implies_quasi_on_lift_output():
     res = label_chorded_cycle(7)
     lifted, lab = lift_once(res.digraph, res.labeling)
     assert find_full_violation(lifted, lab) is None and find_quasi_violation(lifted, lab) is None
+
+
+def replayed_lift(d, lab):
+    """One lift step composed from the public calls: line digraph, one overlap
+    merge per arc, Labeling construction."""
+    lifted = line_digraph(d)
+    assignment = {name: overlap_merge(lab.label_of(tail), lab.label_of(head))
+                  for name, (tail, head) in zip(lifted.vertices, d.arcs)}
+    return lifted, Labeling(lab.alpha, lab.k + 1, assignment)
+
+
+def test_lift_once_equals_its_public_replay():
+    rng = random.Random(8)
+    instances = [(r.digraph, r.labeling) for r in _small_fixtures()]
+    instances += [_random_quasi_instance(rng) for _ in range(200)]
+    assert len(instances) == 408
+    for d, lab in instances:
+        lifted, lifted_lab = lift_once(d, lab)
+        replay_d, replay_lab = replayed_lift(d, lab)
+        assert lifted == replay_d and lifted.vertices == replay_d.vertices
+        assert lifted.arcs == replay_d.arcs and lifted_lab == replay_lab
+        assert find_full_violation(replay_d, replay_lab) is None
+
+
+def test_lift_cli_bytes_pinned(tmp_path):
+    # vertex order, arc order and labeling order of a four-step lift, 36 vertices
+    base_d, base_l = tmp_path / "base.digraph", tmp_path / "base.labeling"
+    out_d, out_l = tmp_path / "lifted.digraph", tmp_path / "lifted.labeling"
+    assert main(["label", "--construction", "chorded-cycle", "--n", "12",
+                 "--out-digraph", str(base_d), "--out-labeling", str(base_l)], io.StringIO()) == 0
+    assert main(["lift", "--m", "4", "--digraph", str(base_d), "--labeling", str(base_l),
+                 "--out-digraph", str(out_d), "--out-labeling", str(out_l)], io.StringIO()) == 0
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out_d, out_l)]
+    assert digests == ["881376c9dbeb3a296e9959bd0a951b56129a24d1cf709fc6e2f7f17a75a203a9",
+                       "f540974cf3f4aa80605e963ad11f1722616ca337ceb716637b32762b22a798b7"]
