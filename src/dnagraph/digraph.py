@@ -87,9 +87,9 @@ class Digraph:
     def _index_arcs(self) -> tuple[list[int], list[int]]:
         """(tail, head): arc i runs from vertex tail[i] to vertex head[i]."""
         if self._tail is None:
-            index = dict(zip(self._vertices, range(len(self._vertices))))
-            ends = list(map(index.__getitem__, chain.from_iterable(self._arcs)))
-            self._tail, self._head = ends[0::2], ends[1::2]
+            index = {v: i for i, v in enumerate(self._vertices)}
+            self._tail = [index[t] for t, _ in self._arcs]
+            self._head = [index[h] for _, h in self._arcs]
         return self._tail, self._head
 
     def _build_adjacency(self):
@@ -295,16 +295,20 @@ def line_digraph(d: Digraph) -> Digraph:
     leaving head(i), in arc order."""
     tail, head = d._index_arcs()
     names = d.vertices
-    walks = tuple(map(_walk_join, map(names.__getitem__, tail), map(names.__getitem__, head)))
-    if len(frozenset(walks)) != len(walks):
+    walks = tuple([_walk_join(names[t], names[h]) for t, h in zip(tail, head)])
+    if len(set(walks)) != len(walks):
         # only names holding WALK_SEP can make two walks read alike
         raise InvalidParameterError("duplicate vertex name in vertex set")
     leaving: list[list[int]] = [[] for _ in names]
     for arc, t in enumerate(tail):
         leaving[t].append(arc)
-    successors = list(map(leaving.__getitem__, head))
-    line_tail = list(chain.from_iterable(map(repeat, range(len(tail)), map(len, successors))))
-    return Digraph._from_indices(walks, line_tail, list(chain.from_iterable(successors)))
+    line_tail: list[int] = []
+    line_head: list[int] = []
+    for arc, h in enumerate(head):
+        successors = leaving[h]
+        line_tail += [arc] * len(successors)
+        line_head += successors
+    return Digraph._from_indices(walks, line_tail, line_head)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import eq, getitem
 
 from .digraph import Digraph
@@ -186,7 +186,7 @@ def format_labeling(lab: Labeling) -> str:
 
 
 def parse_labeling(text: str) -> Labeling:
-    rows = [line for line in text.splitlines() if line and not line.isspace()]
+    rows = [line for line in text.splitlines() if line.strip()]
     if not rows:
         raise InvalidInputError("empty labeling text")
     header = rows[0].split()
@@ -195,7 +195,7 @@ def parse_labeling(text: str) -> Labeling:
     alpha, k = int(header[0]), int(header[1])
     # symbols stay strings here, Labeling converts them all at once
     assignment: dict[str, list[str]] = {}
-    for row in islice(rows, 1, None):
+    for row in rows[1:]:
         name, _, symbols = row.partition("\t")
         if not symbols:
             parts = row.split()
