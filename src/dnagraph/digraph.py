@@ -32,34 +32,54 @@ def _check_names(names: tuple[str, ...]) -> None:
     raise InvalidParameterError(f"vertex name {bad!r} is empty or contains whitespace")
 
 
+def _first_arc_error(names: tuple[str, ...], arcs) -> None:
+    """Raise the error of the first bad arc, in arc order."""
+    vset = frozenset(names)
+    seen = set()
+    for arc in arcs:
+        if len(arc) != 2:
+            raise InvalidParameterError(f"arc {arc!r} is not a (tail, head) pair")
+        tail, head = arc
+        if tail not in vset or head not in vset:
+            raise InvalidParameterError(f"arc endpoint outside vertex set: {tail} -> {head}")
+        if arc in seen:
+            # every catalogued family is a simple digraph; duplicates are caller bugs
+            raise InvalidParameterError(f"duplicate arc {tail} -> {head}")
+        seen.add(arc)
+
+
+def _check_repeats(names: tuple[str, ...], tail: list[int], head: list[int]) -> None:
+    """Raise the first bad arc's error if an arc of tail[i] -> head[i] repeats."""
+    # arc t -> h has the code t*n + h, so a repeated arc is a repeated code
+    if len(set(map(add, map(mul, tail, repeat(len(names))), head))) != len(tail):
+        _first_arc_error(names, zip(map(names.__getitem__, tail), map(names.__getitem__, head)))
+
+
 class Digraph:
     """Immutable digraph with ordered vertex set and ordered simple arc set.
 
     The arcs are two index lists into the vertex tuple, arc i being
-    tail[i] -> head[i]: line digraphs, both text formats and the verifiers
-    work on these.  A digraph built from name pairs keeps its pairs and
-    makes the index lists on first request; one built from index lists
-    makes the name pairs on first request.  Either way a small digraph pays
-    for no conversion it does not use, and a large one never holds its arcs
-    as name tuples unless asked.
+    tail[i] -> head[i]: every constructor sets them, and line digraphs, both
+    text formats and the verifiers work on them.  Name pairs, the arc set
+    and adjacency are views built on first request.
     """
 
     __slots__ = ("_vertices", "_arcs", "_tail", "_head", "_vset", "_arcset", "_out", "_in")
 
     def __init__(self, vertices, arcs):
-        self._vertices = tuple(vertices)
-        self._vset = frozenset(self._vertices)
-        if len(self._vset) != len(self._vertices):
+        self._vertices = names = tuple(vertices)
+        index = {v: i for i, v in enumerate(names)}
+        if len(index) != len(names):
             raise InvalidParameterError("duplicate vertex name in vertex set")
-        _check_names(self._vertices)
-        arcs = tuple(map(tuple, arcs))
-        self._arcset = frozenset(arcs)
-        if (len(self._arcset) != len(arcs) or not frozenset(map(len, arcs)) <= {2}
-                or not self._vset.issuperset(chain.from_iterable(arcs))):
-            self._first_arc_error(arcs)
-        self._arcs = arcs
-        # index lists and adjacency are built on first request
-        self._tail = self._head = self._out = self._in = None
+        _check_names(names)
+        self._arcs = arcs = tuple(map(tuple, arcs))
+        try:
+            self._tail = [index[t] for t, _ in arcs]
+            self._head = [index[h] for _, h in arcs]
+        except (KeyError, ValueError):
+            _first_arc_error(names, arcs)
+        _check_repeats(names, self._tail, self._head)
+        self._vset = self._arcset = self._out = self._in = None
 
     @classmethod
     def _from_indices(cls, vertices: tuple[str, ...], tail: list[int], head: list[int]) -> "Digraph":
@@ -72,25 +92,6 @@ class Digraph:
         d._vertices, d._tail, d._head = vertices, tail, head
         d._arcs = d._vset = d._arcset = d._out = d._in = None
         return d
-
-    def _first_arc_error(self, arcs):
-        """Raise the error of the first bad arc, in arc order."""
-        seen = set()
-        for tail, head in arcs:
-            if tail not in self._vset or head not in self._vset:
-                raise InvalidParameterError(f"arc endpoint outside vertex set: {tail} -> {head}")
-            if (tail, head) in seen:
-                # every catalogued family is a simple digraph; duplicates are caller bugs
-                raise InvalidParameterError(f"duplicate arc {tail} -> {head}")
-            seen.add((tail, head))
-
-    def _index_arcs(self) -> tuple[list[int], list[int]]:
-        """(tail, head): arc i runs from vertex tail[i] to vertex head[i]."""
-        if self._tail is None:
-            index = {v: i for i, v in enumerate(self._vertices)}
-            self._tail = [index[t] for t, _ in self._arcs]
-            self._head = [index[h] for _, h in self._arcs]
-        return self._tail, self._head
 
     def _build_adjacency(self):
         out = {v: [] for v in self._vertices}
@@ -119,7 +120,7 @@ class Digraph:
 
     @property
     def arc_count(self) -> int:
-        return len(self._tail if self._arcs is None else self._arcs)
+        return len(self._tail)
 
     def has_vertex(self, v: str) -> bool:
         if self._vset is None:
@@ -151,11 +152,11 @@ class Digraph:
         if not isinstance(other, Digraph):
             return NotImplemented
         # equal vertex tuples index alike, so equal index lists mean equal arcs
-        return self._vertices == other._vertices and self._index_arcs() == other._index_arcs()
+        return (self._vertices == other._vertices and self._tail == other._tail
+                and self._head == other._head)
 
     def __hash__(self):
-        tail, head = self._index_arcs()
-        return hash((self._vertices, tuple(tail), tuple(head)))
+        return hash((self._vertices, tuple(self._tail), tuple(self._head)))
 
     def __repr__(self):
         return f"Digraph(|V|={self.vertex_count}, |A|={self.arc_count})"
@@ -293,7 +294,7 @@ def line_digraph(d: Digraph) -> Digraph:
 
     Vertex i of L(d) is arc i of d, and its out-arcs are those to the arcs
     leaving head(i), in arc order."""
-    tail, head = d._index_arcs()
+    tail, head = d._tail, d._head
     names = d.vertices
     walks = tuple([_walk_join(names[t], names[h]) for t, h in zip(tail, head)])
     if len(set(walks)) != len(walks):
@@ -369,7 +370,7 @@ def isomorphic(a: Digraph, b: Digraph) -> bool:
 def format_digraph_text(d: Digraph) -> str:
     """Plain-text format: header ``n m``, one ``tail head`` line per arc, then
     one line per isolated vertex holding just its name."""
-    tail, head = d._index_arcs()
+    tail, head = d._tail, d._head
     names = d.vertices
     spaced = [v + " " for v in names]
     # one join over the names themselves: no per-line string is ever built
@@ -412,14 +413,7 @@ def parse_digraph_text(text: str) -> Digraph:
     if len(index) != n:
         raise InvalidParameterError(f"header says {n} vertices, file names {len(index)}")
     vertices = tuple(index)
-    # arc t -> h has the code t*n + h, so a repeated arc is a repeated code
-    codes = map(add, map(mul, tail, repeat(n)), head)
-    if len(set(codes)) != m:
-        seen = set()
-        for t, h in zip(tail, head):
-            if (t, h) in seen:
-                raise InvalidParameterError(f"duplicate arc {vertices[t]} -> {vertices[h]}")
-            seen.add((t, h))
+    _check_repeats(vertices, tail, head)
     return Digraph._from_indices(vertices, tail, head)
 
 

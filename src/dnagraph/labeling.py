@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import eq, getitem
 
-from .digraph import Digraph
+from .digraph import Digraph, _check_names
 from .errors import InvalidInputError
 
 Label = tuple[int, ...]
@@ -52,6 +52,7 @@ class Labeling:
             raise InvalidInputError("alpha must be a positive integer")
         if self.k < 2:
             raise InvalidInputError("label length k must be greater than 1")
+        _check_names(tuple(self.assignment))
         symbols = frozenset(range(1, self.alpha + 1))
         labels = list(self.assignment.values())
         # merged labels arrive as int tuples already; parsed ones as strings
@@ -116,7 +117,7 @@ def _quasi(d: Digraph, lab: Labeling) -> tuple[str | None, list[Label]]:
             if label in seen:
                 return f"vertices {seen[label]} and {v} share label {format_label(label)}", labels
             seen[label] = v
-    tail, head = d._index_arcs()
+    tail, head = d._tail, d._head
     if not all(map(eq, map(getitem, map(labels.__getitem__, tail), repeat(_SUFFIX)),
                    map(getitem, map(labels.__getitem__, head), repeat(_PREFIX)))):
         names = d.vertices
@@ -186,22 +187,18 @@ def format_labeling(lab: Labeling) -> str:
 
 
 def parse_labeling(text: str) -> Labeling:
-    rows = [line for line in text.splitlines() if line.strip()]
-    if not rows:
+    # a row is a name then its symbols, read as parse_digraph_text reads rows
+    rows = filter(None, map(str.split, text.splitlines()))
+    header = next(rows, None)
+    if header is None:
         raise InvalidInputError("empty labeling text")
-    header = rows[0].split()
     if len(header) != 2:
         raise InvalidInputError("labeling text must start with a header line 'alpha k'")
     alpha, k = int(header[0]), int(header[1])
     # symbols stay strings here, Labeling converts them all at once
     assignment: dict[str, list[str]] = {}
-    for row in rows[1:]:
-        name, _, symbols = row.partition("\t")
-        if not symbols:
-            parts = row.split()
-            name, symbols = parts[0], " ".join(parts[1:])
-        name = name.strip()
+    for name, *symbols in rows:
         if name in assignment:
             raise InvalidInputError(f"vertex {name} labeled twice")
-        assignment[name] = symbols.split()
+        assignment[name] = symbols
     return Labeling(alpha, k, assignment)

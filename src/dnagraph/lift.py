@@ -16,7 +16,7 @@ from operator import add, getitem
 
 from .digraph import Digraph, line_digraph
 from .errors import ConstructionFailure, InvalidInputError, InvalidParameterError, ResourceLimitError
-from .labeling import Labeling, find_full_violation, find_quasi_violation
+from .labeling import Labeling, _quasi, find_full_violation
 
 LINE_VERTEX_CAP = 100_000
 
@@ -36,16 +36,14 @@ class LiftedLabeling:
 
 def lift_once(d: Digraph, lab: Labeling) -> tuple[Digraph, Labeling]:
     """One lift step: quasi-(alpha, k) on d -> full (alpha, k+1) on L(d)."""
-    bad = find_quasi_violation(d, lab)
+    bad, labels = _quasi(d, lab)
     if bad is not None:
         raise InvalidInputError(f"lift needs a quasi-valid labeling: {bad}")
     lifted = line_digraph(d)
     # vertex i of L(d) is arc i of d; the quasi check above has matched the
     # overlap of every arc, so each merge is the tail label plus one symbol
-    labels = list(map(lab.assignment.__getitem__, d.vertices))
     last = list(map(getitem, labels, repeat(slice(-1, None))))
-    tail, head = d._index_arcs()
-    merged = map(add, map(labels.__getitem__, tail), map(last.__getitem__, head))
+    merged = map(add, map(labels.__getitem__, d._tail), map(last.__getitem__, d._head))
     assignment = dict(zip(lifted.vertices, merged))
     lifted_lab = Labeling(lab.alpha, lab.k + 1, assignment)
     bad = find_full_violation(lifted, lifted_lab)

@@ -10,6 +10,7 @@ corresponding Hamiltonian path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .digraph import Digraph, _walk_join
 from .errors import InvalidInputError
@@ -74,18 +75,16 @@ def eulerian_path(d: Digraph, start: str | None = None) -> tuple[tuple[str, str]
         if d.out_degree(begin) == 0:
             return None
 
-    out_arcs = {v: [] for v in d.vertices}
-    for arc in d.arcs:
-        out_arcs[arc[0]].append(arc)
     cursor = {v: 0 for v in d.vertices}
     stack: list[tuple[str, tuple[str, str] | None]] = [(begin, None)]
     trail: list[tuple[str, str]] = []
     while stack:
         v, via = stack[-1]
-        if cursor[v] < len(out_arcs[v]):
-            arc = out_arcs[v][cursor[v]]
+        heads = d.out_neighbors(v)
+        if cursor[v] < len(heads):
+            w = heads[cursor[v]]
             cursor[v] += 1
-            stack.append((arc[1], arc))
+            stack.append((w, (v, w)))
         else:
             stack.pop()
             if via is not None:
@@ -104,14 +103,12 @@ def count_eulerian_paths(d: Digraph, path: tuple[tuple[str, str], ...]) -> int:
     Reconstruction ambiguity is reported, not resolved: spelling functions
     always follow the given (deterministic) path.
     """
-    out_arcs: dict[str, list[tuple[str, str]]] = {v: [] for v in d.vertices}
-    for arc in d.arcs:
-        out_arcs[arc[0]].append(arc)
     used: set[tuple[str, str]] = set()
     trail: list[tuple[str, str]] = []
     # choices[i] yields the untried out-arcs at the end of trail[:i]; an
     # explicit stack, because a trail can be longer than the recursion limit
-    choices = [iter(out_arcs[path[0][0]])]
+    start = path[0][0]
+    choices = [zip(repeat(start), d.out_neighbors(start))]
     count = 0
     while choices and count < PATH_COUNT_CAP:
         arc = next((a for a in choices[-1] if a not in used), None)
@@ -124,7 +121,7 @@ def count_eulerian_paths(d: Digraph, path: tuple[tuple[str, str], ...]) -> int:
         else:
             used.add(arc)
             trail.append(arc)
-            choices.append(iter(out_arcs[arc[1]]))
+            choices.append(zip(repeat(arc[1]), d.out_neighbors(arc[1])))
     return count
 
 

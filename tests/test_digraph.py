@@ -36,6 +36,15 @@ class TestDigraphType:
             Digraph(["ok", "a b", ""], [])
         assert str(exc.value) == "vertex name 'a b' is empty or contains whitespace"
 
+    @pytest.mark.parametrize("arc", [("a", "b", "c"), ("b",), ()])
+    def test_rejects_an_arc_that_is_not_a_pair(self, arc):
+        with pytest.raises(InvalidParameterError) as exc:
+            Digraph(["a", "b"], [("a", "b"), arc, ("a", "b")])
+        assert str(exc.value) == f"arc {arc!r} is not a (tail, head) pair"
+
+    def test_equal_tails_different_heads_differ(self):
+        assert Digraph(["a", "b"], [("a", "a")]) != Digraph(["a", "b"], [("a", "b")])
+
     def test_neighbor_order_is_insertion_order(self):
         d = Digraph(["a", "b", "c"], [("a", "c"), ("a", "b")])
         assert d.out_neighbors("a") == ("c", "b")

@@ -3,7 +3,8 @@
 Each reference below is the straightforward per-element loop: split walk
 names, read the text one row of name pairs at a time, probe every arc, probe
 every overlap pair.  The library's versions must give the same names, the
-same digraphs and the same first-error messages, None included.
+same digraphs, the same labelings and the same first-error messages, None
+included.
 """
 
 import itertools
@@ -12,9 +13,9 @@ from itertools import chain
 
 import pytest
 
-from dnagraph import (Digraph, InvalidParameterError, Labeling, WALK_SEP,
+from dnagraph import (Digraph, InvalidInputError, InvalidParameterError, Labeling, WALK_SEP,
                       find_full_violation, find_quasi_violation, format_label, line_digraph,
-                      parse_digraph_text)
+                      parse_digraph_text, parse_labeling)
 from dnagraph.acceptance import _random_quasi_instance
 from dnagraph.digraph import _walk_join
 
@@ -64,6 +65,29 @@ def reference_parse_digraph_text(text):
     if len(vertices) != n:
         raise InvalidParameterError(f"header says {n} vertices, file names {len(vertices)}")
     return Digraph(vertices, arcs)
+
+
+def reference_parse_labeling(text):
+    """The row reader that split each row at its first tab: the name before it,
+    the symbols after it, and whitespace splitting only for a row without one."""
+    rows = [line for line in text.splitlines() if line.strip()]
+    if not rows:
+        raise InvalidInputError("empty labeling text")
+    header = rows[0].split()
+    if len(header) != 2:
+        raise InvalidInputError("labeling text must start with a header line 'alpha k'")
+    alpha, k = int(header[0]), int(header[1])
+    assignment = {}
+    for row in rows[1:]:
+        name, _, symbols = row.partition("\t")
+        if not symbols:
+            parts = row.split()
+            name, symbols = parts[0], " ".join(parts[1:])
+        name = name.strip()
+        if name in assignment:
+            raise InvalidInputError(f"vertex {name} labeled twice")
+        assignment[name] = symbols.split()
+    return Labeling(alpha, k, assignment)
 
 
 def reference_distinct(d, lab):
@@ -227,3 +251,59 @@ def test_line_digraph_from_indices_equals_one_from_name_pairs():
             rebuilt = Digraph(ld.vertices, ld.arcs)
             assert ld == rebuilt and rebuilt == ld
             assert hash(ld) == hash(rebuilt)
+
+
+def random_labeling_text(rng):
+    """Labeling text with token names, blank lines, and spaces or tabs between
+    a name and its symbols; some texts carry a bad header, a repeated name, a
+    label of the wrong length, a symbol out of range or not an integer, or a
+    name with no symbols.  The first tab of a row, if any, is the gap after
+    its name or ends the row: there both readers split a row alike."""
+    alpha, k = rng.randint(0, 4), rng.randint(1, 4)
+    header = rng.choice(([alpha, k], [alpha, k], [alpha, k], [alpha], [alpha, k, 1], [alpha, "k"]))
+    names = [f"x{i}" for i in range(6)] + [f"x0{WALK_SEP}x1"]
+    rows = []
+    for name in rng.sample(names, rng.randint(0, len(names))):
+        symbols = [rng.randint(1, max(alpha, 1)) for _ in range(k + rng.choice((0, 0, 0, 0, -1, 1)))]
+        if symbols and rng.random() < 0.1:
+            symbols[rng.randrange(len(symbols))] = rng.choice((0, alpha + 1, "a"))
+        rows.append([name, *map(str, symbols)])
+    if rows and rng.random() < 0.1:
+        rows.append([rows[0][0], *rows[-1][1:]])
+    lines = [" ".join(map(str, header))] if rng.random() < 0.97 else []
+    for name, *symbols in rows:
+        while rng.random() < 0.2:
+            lines.append(rng.choice(("", " ", "\t", "  \t ")))
+        lead = rng.choice(("", "", " ", "  "))
+        gap = rng.choice(("\t", "\t", " ", "  ", " \t ", "\t  "))
+        trail = rng.choice(("", "", " ", "\t"))
+        lines.append(lead + name + (gap + rng.choice((" ", "  ")).join(symbols) if symbols else "")
+                     + trail)
+    return "\n".join(lines) + rng.choice(("", "\n", "\n\n"))
+
+
+def test_parse_labeling_matches_reference_on_random_texts():
+    rng = random.Random(4242)
+    kinds = set()
+    for _ in range(3000):
+        text = random_labeling_text(rng)
+        got = parse_outcome(parse_labeling, text)
+        want = parse_outcome(reference_parse_labeling, text)
+        if isinstance(want, Labeling):
+            assert isinstance(got, Labeling), (text, got)
+            assert got == want and list(got.assignment) == list(want.assignment), text
+            kinds.add("ok")
+        else:
+            assert got == want, text
+            kinds.add(want[1].split()[0])
+    # a labeling and every kind of first error occurred
+    assert kinds == {"ok", "empty", "labeling", "invalid", "vertex", "alpha", "label"}
+
+
+def test_parse_labeling_reads_a_row_that_starts_with_a_tab_by_its_tokens():
+    # the one intended difference: the reference took the empty text before
+    # the row's first tab as the name
+    text = "2 2\n\tx\t1 2\n"
+    assert parse_labeling(text) == Labeling(2, 2, {"x": (1, 2)})
+    with pytest.raises(InvalidParameterError, match="vertex name '' is empty"):
+        reference_parse_labeling(text)

@@ -1,6 +1,6 @@
 import pytest
 
-from dnagraph import (Digraph, InvalidInputError, Labeling, find_dna_violation,
+from dnagraph import (Digraph, InvalidInputError, InvalidParameterError, Labeling, find_dna_violation,
                       find_full_violation, find_quasi_violation, format_label,
                       format_labeling, label_chorded_cycle, make_dicycle, make_ladder,
                       overlap_merge, parse_labeling)
@@ -23,6 +23,14 @@ class TestLabelingType:
     def test_rejects_wrong_length(self):
         with pytest.raises(InvalidInputError):
             Labeling(3, 3, {"a": (1, 2)})
+
+    @pytest.mark.parametrize("name", ["a\tb", " a", "", "a b"])
+    def test_names_follow_the_digraph_name_rule(self, name):
+        # the text format could not carry these: "a\tb" read back as a bad
+        # symbol and " a" as "a"
+        with pytest.raises(InvalidParameterError,
+                           match=r"vertex name .* is empty or contains whitespace"):
+            Labeling(2, 2, {"c": (2, 1), name: (1, 2)})
 
     def test_format_label(self):
         assert format_label((1, 2, 3)) == "123"

@@ -144,6 +144,14 @@ class TestConjectureExplorer:
                     expected += [(n, alpha, 4, UNSAT), (n, alpha, 5, UNSAT)]
         assert rows == expected
 
+    def test_ladder_search_node_counts(self):
+        # the candidate order decides these counts, not only the verdicts
+        counts = [(n, alpha, find_labeling(make_ladder(n), SearchConfig(alpha, 4, "full")))
+                  for n, alpha in ((10, 3), (10, 4), (11, 3), (11, 4), (12, 3))]
+        assert [(n, alpha, out.verdict, out.nodes_explored) for n, alpha, out in counts] == [
+            (10, 3, SAT, 27), (10, 4, SAT, 29), (11, 3, SAT, 29), (11, 4, SAT, 31),
+            (12, 3, UNSAT, 898)]
+
     def test_fallback_row_appears_on_budget(self):
         rows = explore_conjecture([4], node_budget=2)
         ks = [(r.alpha, r.k, r.verdict) for r in rows]

@@ -76,6 +76,11 @@ class TestEulerianPath:
         path = eulerian_path(d)
         assert len(path) == 4 and path[0][0] == path[-1][1]
 
+    def test_out_arcs_taken_in_arc_order(self):
+        d = Digraph(["a", "b", "c"], [("a", "b"), ("b", "a"), ("a", "c"), ("c", "a")])
+        assert eulerian_path(d) == (("a", "b"), ("b", "a"), ("a", "c"), ("c", "a"))
+        assert eulerian_path(d, "b") == (("b", "a"), ("a", "c"), ("c", "a"), ("a", "b"))
+
     def test_degree_condition_rejected(self):
         star = Digraph(["c", "a", "b", "d"], [("c", "a"), ("c", "b"), ("c", "d")])
         assert eulerian_path(star) is None
