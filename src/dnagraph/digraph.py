@@ -324,8 +324,6 @@ def isomorphic(a: Digraph, b: Digraph) -> bool:
     """
     if a.vertex_count > ISO_SIZE_CAP or b.vertex_count > ISO_SIZE_CAP:
         raise ResourceLimitError(f"isomorphism check capped at {ISO_SIZE_CAP} vertices")
-    if a.vertex_count != b.vertex_count or a.arc_count != b.arc_count:
-        return False
 
     def degrees(g, v):
         return (g.out_degree(v), g.in_degree(v))
@@ -333,31 +331,24 @@ def isomorphic(a: Digraph, b: Digraph) -> bool:
     if sorted(degrees(a, v) for v in a.vertices) != sorted(degrees(b, v) for v in b.vertices):
         return False
 
-    # high-degree vertices first so contradictions surface early
-    order = sorted(a.vertices, key=lambda v: (-(a.out_degree(v) + a.in_degree(v)), a.vertices.index(v)))
-    candidates = {v: [w for w in b.vertices if degrees(b, w) == degrees(a, v)] for v in order}
+    # high-degree vertices first so contradictions surface early; ties keep vertex order
+    order = sorted(a.vertices, key=lambda v: -(a.out_degree(v) + a.in_degree(v)))
     mapping: dict[str, str] = {}
-    used: set[str] = set()
 
     def extend(i: int) -> bool:
         if i == len(order):
             return True
         v = order[i]
-        for w in candidates[v]:
-            if w in used:
+        want = (degrees(a, v), a.has_arc(v, v))
+        for w in b.vertices:
+            if w in mapping.values() or (degrees(b, w), b.has_arc(w, w)) != want:
                 continue
-            ok = True
-            for u, x in mapping.items():
-                if a.has_arc(v, u) != b.has_arc(w, x) or a.has_arc(u, v) != b.has_arc(x, w):
-                    ok = False
-                    break
-            if ok and a.has_arc(v, v) == b.has_arc(w, w):
+            if all(a.has_arc(v, u) == b.has_arc(w, x) and a.has_arc(u, v) == b.has_arc(x, w)
+                   for u, x in mapping.items()):
                 mapping[v] = w
-                used.add(w)
                 if extend(i + 1):
                     return True
                 del mapping[v]
-                used.remove(w)
         return False
 
     return extend(0)

@@ -83,18 +83,9 @@ def _canonical_first_labels(alpha: int, k: int) -> list[Label]:
     first decided vertex to these patterns divides the tree by up to
     alpha! without losing completeness.
     """
-    out: list[Label] = []
-
-    def rec(prefix: list[int], top: int) -> None:
-        if len(prefix) == k:
-            out.append(tuple(prefix))
-            return
-        for z in range(1, min(alpha, top + 1) + 1):
-            prefix.append(z)
-            rec(prefix, max(top, z))
-            prefix.pop()
-
-    rec([1], 1)
+    out: list[Label] = [(1,)]
+    for _ in range(k - 1):
+        out = [prefix + (z,) for prefix in out for z in range(1, min(alpha, max(prefix) + 1) + 1)]
     return out
 
 
@@ -113,9 +104,8 @@ def find_labeling(d: Digraph, cfg: SearchConfig) -> SearchOutcome:
     alpha, k, full = cfg.alpha, cfg.k, cfg.mode == "full"
 
     assigned: dict[str, Label] = {}
-    used: set[Label] = set()
-    by_prefix: dict[Label, list[str]] = {}
-    by_suffix: dict[Label, list[str]] = {}
+    owner: dict[Label, str] = {}  # the decided vertex that carries each label in use
+    symbols = [(z,) for z in range(1, alpha + 1)]  # one-symbol tuples, to extend labels by
     nodes = 0
 
     def candidates(v: str, first: bool):
@@ -141,58 +131,50 @@ def find_labeling(d: Digraph, cfg: SearchConfig) -> SearchOutcome:
             cand = prefix + (suffix[-1],)
             return (cand,) if cand[1:] == suffix else ()
         if prefix is not None:
-            return tuple(prefix + (z,) for z in range(1, alpha + 1))
+            return tuple(prefix + z for z in symbols)
         if suffix is not None:
-            return tuple((z,) + suffix for z in range(1, alpha + 1))
+            return tuple(z + suffix for z in symbols)
         if first:
             return tuple(_canonical_first_labels(alpha, k))
         return tuple(itertools.product(range(1, alpha + 1), repeat=k))
 
-    def admissible(v: str, lab: Label) -> bool:
-        if lab in used:
+    def admissible(v: str, lab: Label, loop: bool) -> bool:
+        if lab in owner:
             return False
-        if d.has_arc(v, v) and lab[1:] != lab[:-1]:
+        if not full:
+            return not loop or lab[1:] == lab[:-1]
+        prefix, suffix = lab[:-1], lab[1:]
+        if loop != (prefix == suffix):
             return False
-        if full:
-            if lab[1:] == lab[:-1] and not d.has_arc(v, v):
+        # a decided x overlaps into v iff it carries (z,) + prefix, and v
+        # overlaps into a decided y iff y carries suffix + (z,)
+        for z in symbols:
+            x = owner.get(z + prefix)
+            if x is not None and not d.has_arc(x, v):
                 return False
-            for x in by_suffix.get(lab[:-1], ()):
-                if not d.has_arc(x, v):
-                    return False
-            for y in by_prefix.get(lab[1:], ()):
-                if not d.has_arc(v, y):
-                    return False
+            y = owner.get(suffix + z)
+            if y is not None and not d.has_arc(v, y):
+                return False
         return True
-
-    def place(v: str, lab: Label) -> None:
-        assigned[v] = lab
-        used.add(lab)
-        if full:
-            by_prefix.setdefault(lab[:-1], []).append(v)
-            by_suffix.setdefault(lab[1:], []).append(v)
-
-    def unplace(v: str, lab: Label) -> None:
-        del assigned[v]
-        used.remove(lab)
-        if full:
-            by_prefix[lab[:-1]].remove(v)
-            by_suffix[lab[1:]].remove(v)
 
     def extend(i: int) -> bool:
         nonlocal nodes
         if i == len(order):
             return True
         v = order[i]
+        loop = d.has_arc(v, v)
         for lab in candidates(v, i == 0):
-            if not admissible(v, lab):
+            if not admissible(v, lab, loop):
                 continue
             if nodes >= cfg.node_budget:
                 raise _BudgetExhausted
             nodes += 1
-            place(v, lab)
+            assigned[v] = lab
+            owner[lab] = v
             if extend(i + 1):
                 return True
-            unplace(v, lab)
+            del assigned[v]
+            del owner[lab]
         return False
 
     try:
