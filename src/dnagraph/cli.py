@@ -240,15 +240,12 @@ def main(argv=None, out=None, err=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, out)
-    except InvalidParameterError as exc:
+    except (OSError, ValueError) as exc:  # bad input, InvalidInputError included
         err.write(f"error: {exc}\n")
         return 2
-    except DnaGraphError as exc:
+    except DnaGraphError as exc:  # a cap, or a library bug
         err.write(f"error: {exc}\n")
         return 1
-    except (OSError, ValueError) as exc:
-        err.write(f"error: {exc}\n")
-        return 2
 
 
 if __name__ == "__main__":

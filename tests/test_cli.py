@@ -151,6 +151,18 @@ def test_non_integer_symbol_is_usage_error(tmp_path):
     assert err == "error: invalid literal for int() with base 10: 'x'\n"
 
 
+def test_refused_file_exits_2_and_violation_exits_1(tmp_path):
+    # a labeling file the format refuses is bad input, like a non-integer symbol
+    g, l = _dicycle_labeling(tmp_path, "3 2\nv1\t1 4\nv2\t2 1\n")
+    for verb in (["verify"], ["lift", "--m", "1"]):
+        code, out, err = run_with_err([*verb, "--digraph", g, "--labeling", l])
+        assert (code, out, err) == (2, "", "error: label for v1 uses symbols outside 1..3\n")
+    # quasi but not full: v3 = 1 1 overlaps itself and C3 has no loop
+    g, l = _dicycle_labeling(tmp_path, "2 2\nv1\t1 2\nv2\t2 1\nv3\t1 1\n")
+    code, out, err = run_with_err(["verify", "--mode", "full", "--digraph", g, "--labeling", l])
+    assert code == 1 and out.startswith("violation:") and err == ""
+
+
 def test_verify_reports_first_violation(tmp_path):
     g = tmp_path / "g.txt"
     l = tmp_path / "l.txt"

@@ -126,4 +126,4 @@ def test_cli_bytes_are_pinned(tmp_path, monkeypatch):
             digest.update(repr((path, Path(path).read_text(encoding="utf-8"))).encode())
         calls += 1
     assert calls == 107
-    assert digest.hexdigest() == "daa8229b3dad2b629d614ad1fc2125c65604475cdfe74a335083c2e5993dc1bb"
+    assert digest.hexdigest() == "93c8792aa8a78a493002482c9ac8e695e5094e1b9d086d0579374698b4347186"
