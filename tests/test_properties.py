@@ -2,11 +2,14 @@
 
 The acceptance suite runs the full thousand-case sweep; these are the same
 generators exercised at smaller scale plus a few invariants that only make
-sense at unit level (renaming, permutation), and line_digraph, isomorphic
-and eulerian_path checked against networkx where it is installed.
+sense at unit level (renaming, permutation), isomorphic checked against a
+brute force over vertex permutations, and line_digraph, isomorphic and
+eulerian_path checked against networkx where it is installed.
 """
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -104,6 +107,54 @@ def test_full_verifier_invariant_under_renaming(rng):
                           [(rename[t], rename[h]) for t, h in d.arcs])
         relab = Labeling(lab.alpha, lab.k, {rename[v]: lab.label_of(v) for v in d.vertices})
         assert (find_full_violation(renamed, relab) is None) == was_full
+
+
+def _brute_force_isomorphic(a, b):
+    """Some bijection maps every arc of a onto an arc of b; with equal arc
+    counts that makes it arc-preserving both ways."""
+    if a.vertex_count != b.vertex_count or a.arc_count != b.arc_count:
+        return False
+    arcs = set(b.arcs)
+    return any(all((image[t], image[h]) in arcs for t, h in a.arcs)
+               for image in map(dict, map(zip, itertools.repeat(a.vertices),
+                                          itertools.permutations(b.vertices))))
+
+
+def _check_isomorphic(a, b):
+    got = isomorphic(a, b)
+    assert got == _brute_force_isomorphic(a, b), (a.arcs, b.arcs)
+    return got
+
+
+def test_isomorphic_matches_brute_force(rng):
+    verdicts = Counter()
+    for _ in range(300):
+        names = [f"x{i}" for i in range(rng.randint(1, 6))]
+        a = Digraph(names, [(s, t) for s in names for t in names if rng.random() < 0.3])
+        # a relabelled copy, its vertices listed in another order
+        renamed = [f"y{i}" for i in range(len(names))]
+        rng.shuffle(renamed)
+        rename = dict(zip(names, renamed))
+        arcs = [(rename[t], rename[h]) for t, h in a.arcs]
+        assert _check_isomorphic(a, Digraph(sorted(renamed), arcs)), a.arcs
+        # one arc moved to a free pair, loops included: the arc count stays
+        free = [(s, t) for s in renamed for t in renamed if (s, t) not in arcs]
+        if arcs and free:
+            moved = arcs[:]
+            moved[rng.randrange(len(arcs))] = rng.choice(free)
+            verdicts["moved", _check_isomorphic(a, Digraph(renamed, moved))] += 1
+        # two heads swapped: every in- and out-degree stays, so only the
+        # backtracking can tell
+        if len(arcs) >= 2:
+            i, j = rng.sample(range(len(arcs)), 2)
+            (s, t), (u, v) = arcs[i], arcs[j]
+            if (s, v) not in arcs and (u, t) not in arcs:
+                arcs[i], arcs[j] = (s, v), (u, t)
+                verdicts["swapped", _check_isomorphic(a, Digraph(renamed, arcs))] += 1
+    # a swap is rarely an isomorphism, but same degrees and not isomorphic is
+    # the case only the backtracking decides
+    assert min(verdicts["moved", True], verdicts["moved", False],
+               verdicts["swapped", False]) >= 10, verdicts
 
 
 def test_isomorphic_matches_networkx(rng):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,43 @@ def both_orders(d, cfg):
         mp.setattr(search, "_vertex_order", lambda g: list(g.vertices))
         given = find_labeling(d, cfg)
     return decided, given
+
+
+def brute_force_verdict(d, alpha, k, mode):
+    """SAT iff some injective assignment of the alpha^k words to the vertices
+    is a quasi labeling (every arc overlaps) or a full one (arcs are exactly
+    the overlapping ordered pairs, a vertex with itself included)."""
+    words = list(itertools.product(range(1, alpha + 1), repeat=k))
+    overlap = {(x, y) for x in words for y in words if x[1:] == y[:-1]}
+    n = d.vertex_count
+    index = {v: i for i, v in enumerate(d.vertices)}
+    arcs = {(index[t], index[h]) for t, h in d.arcs}
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    for labels in itertools.permutations(words, n):
+        if mode == "quasi":
+            ok = all((labels[i], labels[j]) in overlap for i, j in arcs)
+        else:
+            ok = all(((labels[i], labels[j]) in overlap) == ((i, j) in arcs) for i, j in pairs)
+        if ok:
+            return SAT
+    return UNSAT
+
+
+def canonical_first_labels_reference(alpha, k):
+    """Depth-first enumeration of the first-occurrence-ordered labels."""
+    out = []
+
+    def rec(prefix, top):
+        if len(prefix) == k:
+            out.append(tuple(prefix))
+            return
+        for z in range(1, min(alpha, top + 1) + 1):
+            prefix.append(z)
+            rec(prefix, max(top, z))
+            prefix.pop()
+
+    rec([1], 1)
+    return out
 
 
 class TestConfig:
@@ -92,6 +130,26 @@ class TestFindLabeling:
             node_counts_differ += len({out.nodes_explored for out in outcomes}) > 1
         # the reference order really was in use
         assert node_counts_differ > 0
+
+    def test_verdict_matches_brute_force(self):
+        rng = random.Random(1999)
+        verdicts = dict.fromkeys(itertools.product(("quasi", "full"), (SAT, UNSAT)), 0)
+        for _ in range(300):
+            names = [f"v{i}" for i in range(rng.randint(1, 4))]
+            d = Digraph(names, [(u, w) for u in names for w in names if rng.random() < 0.35])
+            alpha, k = rng.choice(((2, 2), (2, 3), (3, 2)))
+            mode = rng.choice(("quasi", "full"))
+            got = find_labeling(d, SearchConfig(alpha, k, mode)).verdict
+            assert got == brute_force_verdict(d, alpha, k, mode), (d.arcs, alpha, k, mode)
+            verdicts[mode, got] += 1
+        # both verdicts, in both modes, are well represented
+        assert min(verdicts.values()) >= 40, verdicts
+
+    def test_canonical_first_labels_match_reference(self):
+        for alpha in range(2, 7):
+            for k in range(2, 9):
+                assert (search._canonical_first_labels(alpha, k)
+                        == canonical_first_labels_reference(alpha, k)), (alpha, k)
 
     def test_oracle_agrees_with_catalogue(self):
         for n in (6, 11, 14):
