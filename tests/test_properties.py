@@ -115,9 +115,11 @@ def _brute_force_isomorphic(a, b):
     if a.vertex_count != b.vertex_count or a.arc_count != b.arc_count:
         return False
     arcs = set(b.arcs)
-    return any(all((image[t], image[h]) in arcs for t, h in a.arcs)
-               for image in map(dict, map(zip, itertools.repeat(a.vertices),
-                                          itertools.permutations(b.vertices))))
+    for images in itertools.permutations(b.vertices):
+        image = dict(zip(a.vertices, images))
+        if all((image[t], image[h]) in arcs for t, h in a.arcs):
+            return True
+    return False
 
 
 def _check_isomorphic(a, b):
