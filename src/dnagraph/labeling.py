@@ -10,23 +10,30 @@ properties matter here:
 
 A digraph carrying a full labeling with alpha <= 4 is a DNA graph: symbols
 1..4 stand for the nucleotides A, C, G, T.
+
+Inside a Labeling a label is its code c, the base-alpha number of its
+symbols less one: its (k-1)-prefix is c // alpha, its (k-1)-suffix is
+c % alpha**(k-1), and x merged with y is c_x * alpha + c_y % alpha.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, repeat
-from operator import eq, getitem
+from operator import floordiv, itemgetter, mod
 
 from .digraph import Digraph, _check_names
 from .errors import InvalidInputError
 
 Label = tuple[int, ...]
 
-# a label's (k-1)-suffix and (k-1)-prefix, as slices
-_SUFFIX = slice(1, None)
-_PREFIX = slice(None, -1)
+# int(word, alpha) reads a code from the digits s - 1 of its symbols s.  These
+# tables map symbol values and the text digits '1'..'9' to those digits, and
+# all else to '!', which no base accepts: int() rejects symbols outside 1..alpha.
+_DIGIT_OF_SYMBOL = b"!" + b"0123456789abcdefghijklmnopqrstuvwxyz" + b"!" * 219
+_DIGIT_OF_TEXT = b"!" * 49 + b"012345678" + b"!" * 198
 
 
 def format_label(label: Label) -> str:
@@ -34,47 +41,76 @@ def format_label(label: Label) -> str:
     return "".join(str(s) for s in label)
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=4096)  # tuple views of small labelings repeat their labels
+def _decode(code: int, alpha: int, k: int) -> Label:
+    """The k symbols whose code is code."""
+    symbols = []
+    for _ in range(k):
+        code, digit = divmod(code, alpha)
+        symbols.append(digit + 1)
+    return tuple(reversed(symbols))
+
+
+def _codes(words, table: bytes, alpha: int, k: int) -> list[int] | None:
+    """The code of each word, a bytes object that table maps to k digits, or
+    None if one is not k base-alpha digits (or alpha is outside 2..36)."""
+    try:
+        words = list(map(bytes.translate, words, repeat(table)))
+        return list(map(int, words, repeat(alpha))) if {k}.issuperset(map(len, words)) else None
+    except (TypeError, ValueError):  # a symbol that is no int in 0..255, or no digit
+        return None
+
+
+def _codes_one_by_one(assignment, alpha: int, k: int) -> list[int]:
+    """The codes of labels whose symbols int() reads, such as decimal strings;
+    raises the error of the first bad label, in assignment order."""
+    codes = []
+    for v, raw in assignment.items():
+        label = tuple(map(int, raw))
+        if len(label) != k:
+            raise InvalidInputError(f"label for {v} has length {len(label)}, expected k={k}")
+        if not all(1 <= s <= alpha for s in label):
+            raise InvalidInputError(f"label for {v} uses symbols outside 1..{alpha}")
+        codes.append(reduce(lambda code, s: code * alpha + s - 1, label, 0))
+    return codes
+
+
+@dataclass(frozen=True, init=False)
 class Labeling:
     """Total vertex -> label association with its declared (alpha, k).
 
     alpha is stored, not inferred from the symbols actually used: a labeling
     over three symbols can still be declared with alpha = 4, and that
-    distinction decides DNA-graph certification.
+    distinction decides DNA-graph certification.  codes maps every vertex
+    to the code of its label; the constructor takes the symbols.
     """
 
     alpha: int
     k: int
-    assignment: dict[str, Label]
+    codes: dict[str, int]
 
-    def __post_init__(self):
-        if self.alpha < 1:
+    def __init__(self, alpha: int, k: int, assignment):
+        if alpha < 1:
             raise InvalidInputError("alpha must be a positive integer")
-        if self.k < 2:
+        if k < 2:
             raise InvalidInputError("label length k must be greater than 1")
-        _check_names(tuple(self.assignment))
-        symbols = frozenset(range(1, self.alpha + 1))
-        labels = list(self.assignment.values())
-        # merged labels arrive as int tuples already; parsed ones as strings
-        if not (set(map(type, labels)) <= {tuple}
-                and set(map(type, chain.from_iterable(labels))) <= {int}):
-            try:
-                labels = list(map(tuple, map(map, repeat(int), labels)))
-            except (TypeError, ValueError):
-                labels = None
-        if (labels is None or not {self.k}.issuperset(map(len, labels))
-                or not symbols.issuperset(chain.from_iterable(labels))):
-            self._first_label_error(symbols)
-        object.__setattr__(self, "assignment", dict(zip(self.assignment, labels)))
+        _check_names(tuple(assignment))
+        codes = _codes(map(bytes, assignment.values()), _DIGIT_OF_SYMBOL, alpha, k)
+        if codes is None:
+            codes = _codes_one_by_one(assignment, alpha, k)
+        vars(self).update(alpha=alpha, k=k, codes=dict(zip(assignment, codes)))
 
-    def _first_label_error(self, symbols: frozenset[int]) -> None:
-        """Raise the error of the first bad label, in assignment order."""
-        for v, raw in self.assignment.items():
-            label = tuple(map(int, raw))
-            if len(label) != self.k:
-                raise InvalidInputError(f"label for {v} has length {len(label)}, expected k={self.k}")
-            if not symbols.issuperset(label):
-                raise InvalidInputError(f"label for {v} uses symbols outside 1..{self.alpha}")
+    @classmethod
+    def _trusted(cls, alpha: int, k: int, codes: dict[str, int]) -> "Labeling":
+        """The labeling of codes that this package built, over checked names."""
+        lab = cls.__new__(cls)
+        vars(lab).update(alpha=alpha, k=k, codes=codes)
+        return lab
+
+    @cached_property
+    def assignment(self) -> dict[str, Label]:
+        """vertex -> label, decoded once, on first request."""
+        return {v: _decode(c, self.alpha, self.k) for v, c in self.codes.items()}
 
     def label_of(self, v: str) -> Label:
         return self.assignment[v]
@@ -92,41 +128,36 @@ def overlap_merge(a: Label, b: Label) -> Label:
     return a + (b[-1],)
 
 
-def _aligned(d: Digraph, lab: Labeling) -> list[Label]:
-    """The labels in vertex order; lab must label exactly the vertices of d."""
-    labels = lab.assignment
-    if len(labels) == d.vertex_count:
-        try:
-            return list(map(labels.__getitem__, d.vertices))
-        except KeyError:
-            pass
-    want = set(d.vertices)
-    have = set(labels)
-    missing = sorted(want - have)
-    extra = sorted(have - want)
-    raise InvalidInputError(
+def _not_total(d: Digraph, lab: Labeling) -> InvalidInputError:
+    missing = sorted(set(d.vertices) - set(lab.codes))
+    extra = sorted(set(lab.codes) - set(d.vertices))
+    return InvalidInputError(
         f"labeling is not total over the digraph (missing={missing[:3]}, extra={extra[:3]})")
 
 
-def _quasi(d: Digraph, lab: Labeling) -> tuple[str | None, list[Label]]:
-    """(first quasi violation or None, the labels in vertex order)."""
-    labels = _aligned(d, lab)
-    if len(set(labels)) != len(labels):
-        seen: dict[Label, str] = {}
-        for v, label in zip(d.vertices, labels):
-            if label in seen:
-                return f"vertices {seen[label]} and {v} share label {format_label(label)}", labels
-            seen[label] = v
-    tail, head = d._tail, d._head
-    if not all(map(eq, map(getitem, map(labels.__getitem__, tail), repeat(_SUFFIX)),
-                   map(getitem, map(labels.__getitem__, head), repeat(_PREFIX)))):
-        names = d.vertices
-        for t, h in zip(tail, head):
-            suffix, prefix = labels[t][1:], labels[h][:-1]
-            if suffix != prefix:
-                return (f"arc {names[t]} -> {names[h]}: suffix {format_label(suffix)} "
-                        f"does not match prefix {format_label(prefix)}"), labels
-    return None, labels
+def _quasi(d: Digraph, lab: Labeling) -> tuple[str | None, list[int], list[int], list[int]]:
+    """(first quasi violation or None, then in vertex order the codes and
+    their (k-1)-prefix and (k-1)-suffix codes); lab must label exactly the
+    vertices of d."""
+    if len(lab.codes) != d.vertex_count:
+        raise _not_total(d, lab)
+    try:
+        codes = list(map(lab.codes.__getitem__, d.vertices))
+    except KeyError:
+        raise _not_total(d, lab) from None
+    alpha, k = lab.alpha, lab.k
+    prefix = list(map(floordiv, codes, repeat(alpha)))
+    suffix = list(map(mod, codes, repeat(alpha ** (k - 1))))
+    bad = None
+    if len(set(codes)) != len(codes):
+        first: dict[int, str] = {}  # code -> the first vertex carrying it
+        v, code = next((v, c) for v, c in zip(d.vertices, codes) if first.setdefault(c, v) != v)
+        bad = f"vertices {first[code]} and {v} share label {format_label(_decode(code, alpha, k))}"
+    elif list(map(suffix.__getitem__, d._tail)) != list(map(prefix.__getitem__, d._head)):
+        t, h = next((t, h) for t, h in zip(d._tail, d._head) if suffix[t] != prefix[h])
+        out, into = (format_label(_decode(c, alpha, k - 1)) for c in (suffix[t], prefix[h]))
+        bad = f"arc {d.vertices[t]} -> {d.vertices[h]}: suffix {out} does not match prefix {into}"
+    return bad, codes, prefix, suffix
 
 
 def find_quasi_violation(d: Digraph, lab: Labeling) -> str | None:
@@ -140,26 +171,24 @@ def find_quasi_violation(d: Digraph, lab: Labeling) -> str | None:
 
 def find_full_violation(d: Digraph, lab: Labeling) -> str | None:
     """First violation of the full deBruijn property, or None."""
-    bad, labels = _quasi(d, lab)
+    bad, _, prefix, suffix = _quasi(d, lab)
     if bad is not None:
         return bad
     # Quasi holds, so every arc x -> y is an overlapping ordered pair
     # (suffix(x) = prefix(y), x = y included), and arcs are distinct: the arc
     # set is a subset of the overlap pairs, and equals it iff the two counts
     # agree.  Labels are distinct, so counting by label counts vertex pairs.
-    prefix_count = Counter(map(getitem, labels, repeat(_PREFIX)))
-    if sum(map(prefix_count.get, map(getitem, labels, repeat(_SUFFIX)), repeat(0))) == d.arc_count:
+    prefix_count = Counter(prefix)
+    if sum(map(prefix_count.get, suffix, repeat(0))) == d.arc_count:
         return None
-    by_prefix: dict[Label, list[str]] = {}
-    for v, label in zip(d.vertices, labels):
-        by_prefix.setdefault(label[:-1], []).append(v)
-    for x, label in zip(d.vertices, labels):
-        suffix = label[1:]
-        for y in by_prefix.get(suffix, ()):
-            if not d.has_arc(x, y):
-                return (f"overlap pair {x}, {y} (shared window {format_label(suffix)}) "
-                        f"is not an arc")
-    return None
+    # so some overlap pair is not an arc; report the first
+    by_prefix: dict[int, list[str]] = {}
+    for v, p in zip(d.vertices, prefix):
+        by_prefix.setdefault(p, []).append(v)
+    x, y, s = next((x, y, s) for x, s in zip(d.vertices, suffix)
+                   for y in by_prefix.get(s, ()) if not d.has_arc(x, y))
+    window = format_label(_decode(s, lab.alpha, lab.k - 1))
+    return f"overlap pair {x}, {y} (shared window {window}) is not an arc"
 
 
 def find_dna_violation(d: Digraph, lab: Labeling) -> str | None:
@@ -178,24 +207,41 @@ def find_dna_violation(d: Digraph, lab: Labeling) -> str | None:
 def format_labeling(lab: Labeling) -> str:
     """Header ``alpha k`` then one ``vertex<TAB>s1 s2 ... sk`` line per vertex,
     ordered by vertex name."""
-    labels = lab.assignment
-    names = sorted(labels)
-    row = "\t" + " ".join(["%d"] * lab.k) + "\n"
-    pieces = [f"{lab.alpha} {lab.k}\n"]
-    pieces += chain.from_iterable(zip(names, map(row.__mod__, map(labels.__getitem__, names))))
+    alpha, k = lab.alpha, lab.k
+    names = sorted(lab.codes)
+    codes = list(map(lab.codes.__getitem__, names))
+    # a row is its name, then the text of its high and of its low k // 2
+    # digits, each text built once per value that occurs
+    split = alpha ** (k // 2)
+    high = list(map(floordiv, codes, repeat(split)))
+    low = list(map(mod, codes, repeat(split)))
+    high_text = {c: "\t%s " % " ".join(map(str, _decode(c, alpha, k - k // 2))) for c in set(high)}
+    low_text = {c: "%s\n" % " ".join(map(str, _decode(c, alpha, k // 2))) for c in set(low)}
+    pieces = [f"{alpha} {k}\n"]
+    pieces += chain.from_iterable(zip(names, map(high_text.__getitem__, high),
+                                      map(low_text.__getitem__, low)))
     return "".join(pieces)
 
 
 def parse_labeling(text: str) -> Labeling:
     # a row is a name then its symbols, read as parse_digraph_text reads rows
-    rows = filter(None, map(str.split, text.splitlines()))
-    header = next(rows, None)
-    if header is None:
+    rows = list(filter(None, map(str.split, text.splitlines())))
+    if not rows:
         raise InvalidInputError("empty labeling text")
-    if len(header) != 2:
+    if len(rows[0]) != 2:
         raise InvalidInputError("labeling text must start with a header line 'alpha k'")
-    alpha, k = int(header[0]), int(header[1])
-    # symbols stay strings here, Labeling converts them all at once
+    alpha, k = int(rows[0][0]), int(rows[0][1])
+    del rows[0]
+    names = list(map(itemgetter(0), rows))
+    # distinct names, each with k one-character symbols: a row's code is read
+    # from its symbols joined, which are k characters long only then
+    if (alpha >= 1 and k >= 2 and len(set(names)) == len(names)
+            and {k + 1}.issuperset(map(len, rows))):
+        words = map(str.encode, map("".join, map(itemgetter(slice(1, None)), rows)))
+        codes = _codes(words, _DIGIT_OF_TEXT, alpha, k)
+        if codes is not None:
+            return Labeling._trusted(alpha, k, dict(zip(names, codes)))
+    # otherwise (symbols of several characters, or an error) read row by row
     assignment: dict[str, list[str]] = {}
     for name, *symbols in rows:
         if name in assignment:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, getitem
+from operator import add, mod, mul
 
 from .digraph import Digraph, line_digraph
 from .errors import ConstructionFailure, InvalidInputError, InvalidParameterError, ResourceLimitError
@@ -36,16 +36,17 @@ class LiftedLabeling:
 
 def lift_once(d: Digraph, lab: Labeling) -> tuple[Digraph, Labeling]:
     """One lift step: quasi-(alpha, k) on d -> full (alpha, k+1) on L(d)."""
-    bad, labels = _quasi(d, lab)
+    bad, codes, _, _ = _quasi(d, lab)
     if bad is not None:
         raise InvalidInputError(f"lift needs a quasi-valid labeling: {bad}")
     lifted = line_digraph(d)
-    # vertex i of L(d) is arc i of d; the quasi check above has matched the
-    # overlap of every arc, so each merge is the tail label plus one symbol
-    last = list(map(getitem, labels, repeat(slice(-1, None))))
-    merged = map(add, map(labels.__getitem__, d._tail), map(last.__getitem__, d._head))
-    assignment = dict(zip(lifted.vertices, merged))
-    lifted_lab = Labeling(lab.alpha, lab.k + 1, assignment)
+    # vertex i of L(d) is arc i of d, whose ends overlap (checked above): its
+    # label is the tail label, then the last symbol of the head label
+    alpha = lab.alpha
+    shifted = list(map(mul, codes, repeat(alpha)))
+    last = list(map(mod, codes, repeat(alpha)))
+    merged = map(add, map(shifted.__getitem__, d._tail), map(last.__getitem__, d._head))
+    lifted_lab = Labeling._trusted(alpha, lab.k + 1, dict(zip(lifted.vertices, merged)))
     bad = find_full_violation(lifted, lifted_lab)
     if bad is not None:
         raise ConstructionFailure(f"lifted labeling is not full (library bug): {bad}")

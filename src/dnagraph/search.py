@@ -12,12 +12,11 @@ such as the squares of a ladder close, and get refuted, as early as possible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .digraph import Digraph, make_ladder, middle_vertices
 from .errors import ConstructionFailure, InvalidParameterError, ResourceLimitError
-from .labeling import Label, Labeling, find_full_violation, find_quasi_violation
+from .labeling import Labeling, find_full_violation, find_quasi_violation
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 SEARCH_SIZE_CAP = 40
@@ -76,17 +75,19 @@ def _vertex_order(d: Digraph) -> list[str]:
     return order
 
 
-def _canonical_first_labels(alpha: int, k: int) -> list[Label]:
-    """Labels whose symbols appear in first-occurrence order 1, 2, 3, ...
+def _canonical_first_labels(alpha: int, k: int) -> list[int]:
+    """Codes of the labels whose symbols appear in first-occurrence order
+    1, 2, 3, ..., in increasing order.
 
     Labelings are closed under alphabet permutation, so restricting the
     first decided vertex to these patterns divides the tree by up to
     alpha! without losing completeness.
     """
-    out: list[Label] = [(1,)]
+    out = [(0, 1)]  # (code, symbols used so far)
     for _ in range(k - 1):
-        out = [prefix + (z,) for prefix in out for z in range(1, min(alpha, max(prefix) + 1) + 1)]
-    return out
+        out = [(code * alpha + z, max(used, z + 1))
+               for code, used in out for z in range(min(alpha, used + 1))]
+    return [code for code, _ in out]
 
 
 def find_labeling(d: Digraph, cfg: SearchConfig) -> SearchOutcome:
@@ -102,57 +103,54 @@ def find_labeling(d: Digraph, cfg: SearchConfig) -> SearchOutcome:
         return SearchOutcome(SAT, Labeling(cfg.alpha, cfg.k, {}), 0)
     order = _vertex_order(d)
     alpha, k, full = cfg.alpha, cfg.k, cfg.mode == "full"
-
-    assigned: dict[str, Label] = {}
-    owner: dict[Label, str] = {}  # the decided vertex that carries each label in use
-    symbols = [(z,) for z in range(1, alpha + 1)]  # one-symbol tuples, to extend labels by
+    window = alpha ** (k - 1)  # labels are codes: prefix c // alpha, suffix c % window
+    assigned: dict[str, int] = {}
+    owner: dict[int, str] = {}  # the decided vertex that carries each label in use
     nodes = 0
 
     def candidates(v: str, first: bool):
+        # every decided in-neighbour's suffix pins the prefix of v, and every
+        # decided out-neighbour's prefix pins its suffix
         prefix = None
         for u in d.in_neighbors(v):
-            lab = assigned.get(u)
-            if lab is None:
-                continue
-            if prefix is None:
-                prefix = lab[1:]
-            elif prefix != lab[1:]:
-                return ()
+            if u in assigned:
+                if prefix is None:
+                    prefix = assigned[u] % window
+                elif prefix != assigned[u] % window:
+                    return ()
         suffix = None
         for w in d.out_neighbors(v):
-            lab = assigned.get(w)
-            if lab is None:
-                continue
-            if suffix is None:
-                suffix = lab[:-1]
-            elif suffix != lab[:-1]:
-                return ()
+            if w in assigned:
+                if suffix is None:
+                    suffix = assigned[w] // alpha
+                elif suffix != assigned[w] // alpha:
+                    return ()
         if prefix is not None and suffix is not None:
-            cand = prefix + (suffix[-1],)
-            return (cand,) if cand[1:] == suffix else ()
+            cand = prefix * alpha + suffix % alpha
+            return (cand,) if cand % window == suffix else ()
         if prefix is not None:
-            return tuple(prefix + z for z in symbols)
+            return range(prefix * alpha, prefix * alpha + alpha)
         if suffix is not None:
-            return tuple(z + suffix for z in symbols)
+            return range(suffix, alpha * window, window)
         if first:
-            return tuple(_canonical_first_labels(alpha, k))
-        return tuple(itertools.product(range(1, alpha + 1), repeat=k))
+            return _canonical_first_labels(alpha, k)
+        return range(alpha * window)
 
-    def admissible(v: str, lab: Label, loop: bool) -> bool:
+    def admissible(v: str, lab: int, loop: bool) -> bool:
         if lab in owner:
             return False
+        prefix, suffix = lab // alpha, lab % window
         if not full:
-            return not loop or lab[1:] == lab[:-1]
-        prefix, suffix = lab[:-1], lab[1:]
+            return not loop or prefix == suffix
         if loop != (prefix == suffix):
             return False
         # a decided x overlaps into v iff it carries (z,) + prefix, and v
         # overlaps into a decided y iff y carries suffix + (z,)
-        for z in symbols:
-            x = owner.get(z + prefix)
+        for z in range(alpha):
+            x = owner.get(z * window + prefix)
             if x is not None and not d.has_arc(x, v):
                 return False
-            y = owner.get(suffix + z)
+            y = owner.get(suffix * alpha + z)
             if y is not None and not d.has_arc(v, y):
                 return False
         return True
@@ -183,7 +181,7 @@ def find_labeling(d: Digraph, cfg: SearchConfig) -> SearchOutcome:
         return SearchOutcome(BUDGET_EXCEEDED, None, nodes)
     if not found:
         return SearchOutcome(UNSAT, None, nodes)
-    certificate = Labeling(alpha, k, dict(assigned))
+    certificate = Labeling._trusted(alpha, k, dict(assigned))
     check = find_full_violation if full else find_quasi_violation
     bad = check(d, certificate)
     if bad is not None:

@@ -311,3 +311,30 @@ def test_directory_path_exit_2(tmp_path):
                                    "--labeling", str(tmp_path / "x")])
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_one_parser_serves_interleaved_calls(tmp_path, capsys):
+    # a usage error, then a search, then a lift, all through the parser built
+    # once per process, print what each prints through a freshly built parser
+    digraph, labeling = tmp_path / "d.txt", tmp_path / "l.txt"
+    digraph.write_text("3 3\nx y\ny z\nz x\n")
+    labeling.write_text("3 2\nx\t1 2\ny\t2 3\nz\t3 1\n")
+    calls = (["search", "--alpha"],
+             ["search", "--alpha", "2", "--k", "2", "--digraph", str(digraph)],
+             ["lift", "--m", "1", "--digraph", str(digraph), "--labeling", str(labeling)])
+
+    def call(argv):
+        try:
+            result = run_with_err(argv)
+        except SystemExit as exc:  # argparse prints usage errors to sys.stderr
+            result = exc.code
+        return result, capsys.readouterr()
+
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(call(argv))
+    cli.build_parser.cache_clear()
+    assert [call(argv) for argv in calls] == fresh
+    assert cli.build_parser() is cli.build_parser()
+    assert fresh[0][0] == 2 and "usage: dnagraph search" in fresh[0][1].err

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from dnagraph import (Digraph, InvalidInputError, InvalidParameterError, Labeling, find_dna_violation,
                       find_full_violation, find_quasi_violation, format_label,
                       format_labeling, label_chorded_cycle, make_dicycle, make_ladder,
                       overlap_merge, parse_labeling)
+from dnagraph.labeling import _decode
 
 
 def cycle_labeling(alpha, labels):
@@ -140,3 +143,48 @@ class TestTextFormat:
     def test_bad_header(self):
         with pytest.raises(InvalidInputError):
             parse_labeling("oops\n")
+
+    def test_symbols_of_two_digits_round_trip(self):
+        lab = Labeling(12, 3, {"a": (10, 11, 12), "b": (11, 12, 1), "c": (12, 1, 10)})
+        text = format_labeling(lab)
+        assert text == "12 3\na\t10 11 12\nb\t11 12 1\nc\t12 1 10\n"
+        assert parse_labeling(text) == lab
+        assert parse_labeling(text).label_of("c") == (12, 1, 10)
+
+    # the first error of each text, as the tuple-label reader reported it
+    @pytest.mark.parametrize("text, error, message", [
+        ("12 2\na\t1 2\nb\t1 0\n", InvalidInputError, "label for b uses symbols outside 1..12"),
+        ("12 2\na\t1 13\n", InvalidInputError, "label for a uses symbols outside 1..12"),
+        ("12 2\na\t1 2\nb\tx 1\n", ValueError, "invalid literal for int() with base 10: 'x'"),
+        ("12 2\na\t1.0 1\n", ValueError, "invalid literal for int() with base 10: '1.0'"),
+        ("12 3\na\t1 2 3\nb\t1 2\n", InvalidInputError, "label for b has length 2, expected k=3"),
+        ("12 2\na\t1 2\na\t2 1\n", InvalidInputError, "vertex a labeled twice"),
+        ("12 2\na\t1 2\nb\t12 0 x\n", ValueError, "invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_first_error_is_pinned(self, text, error, message):
+        with pytest.raises(error) as exc:
+            parse_labeling(text)
+        assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("alpha", [2, 3, 4, 5, 12])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_codes_agree_with_tuple_slicing(alpha, k):
+    # product lists the words in lexicographic order, which is the order of
+    # their base-alpha codes: the code of a word is its index here
+    words = list(itertools.product(range(1, alpha + 1), repeat=k))
+    shorter = {w: i for i, w in enumerate(itertools.product(range(1, alpha + 1), repeat=k - 1))}
+    lab = Labeling(alpha, k, dict(zip(map("x{}".format, itertools.count()), words)))
+    codes = list(lab.codes.values())
+    assert codes == list(range(alpha ** k))
+    assert [_decode(c, alpha, k) for c in codes] == words
+    window = alpha ** (k - 1)
+    assert [c // alpha for c in codes] == [shorter[w[:-1]] for w in words]
+    assert [c % window for c in codes] == [shorter[w[1:]] for w in words]
+    # each word t merged with its rotation h, which it overlaps: the code of
+    # a longer word m is the code of m[:-1] extended by one digit
+    heads = [w[1:] + w[:1] for w in words]
+    rotated = [shorter[w[1:]] * alpha + w[0] - 1 for w in words]
+    merged = map(overlap_merge, words, heads)
+    assert ([t * alpha + h % alpha for t, h in zip(codes, rotated)]
+            == [c * alpha + m[-1] - 1 for c, m in zip(codes, merged)])

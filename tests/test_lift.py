@@ -155,3 +155,10 @@ def test_lift_cli_bytes_pinned(tmp_path):
     digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out_d, out_l)]
     assert digests == ["881376c9dbeb3a296e9959bd0a951b56129a24d1cf709fc6e2f7f17a75a203a9",
                        "f540974cf3f4aa80605e963ad11f1722616ca337ceb716637b32762b22a798b7"]
+
+
+def test_lift_checks_a_corrupt_merge(corrupt_trusted_labelings):
+    # the lifted labeling skips the constructor's checks, not the full check
+    res = label_chorded_cycle(9)
+    with pytest.raises(ConstructionFailure, match="lifted labeling is not full"):
+        lift_once(res.digraph, res.labeling)

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from dnagraph import (BUDGET_EXCEEDED, Digraph, InvalidParameterError, Labeling,
-                      ResourceLimitError, SAT, SearchConfig, UNSAT,
+from dnagraph import (BUDGET_EXCEEDED, ConstructionFailure, Digraph, InvalidParameterError,
+                      Labeling, ResourceLimitError, SAT, SearchConfig, UNSAT,
                       check_middle_vertex_lemma, explore_conjecture, find_full_violation,
                       find_labeling, find_quasi_violation, label_chorded_cycle,
                       make_chorded_cycle, make_dicycle, make_ladder, search)
+from dnagraph.labeling import _decode
 
 
 def both_orders(d, cfg):
@@ -148,8 +149,15 @@ class TestFindLabeling:
     def test_canonical_first_labels_match_reference(self):
         for alpha in range(2, 7):
             for k in range(2, 9):
-                assert (search._canonical_first_labels(alpha, k)
+                codes = search._canonical_first_labels(alpha, k)
+                assert ([_decode(code, alpha, k) for code in codes]
                         == canonical_first_labels_reference(alpha, k)), (alpha, k)
+
+    @pytest.mark.parametrize("mode", ["quasi", "full"])
+    def test_corrupt_certificate_is_caught(self, corrupt_trusted_labelings, mode):
+        # the certificate skips the constructor's checks, not its re-check
+        with pytest.raises(ConstructionFailure, match="search returned an invalid certificate"):
+            find_labeling(make_ladder(3), SearchConfig(3, 4, mode))
 
     def test_oracle_agrees_with_catalogue(self):
         for n in (6, 11, 14):
