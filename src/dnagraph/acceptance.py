@@ -102,30 +102,33 @@ def criterion_chorded_triple_lift() -> str:
     return f"vertex counts {counts}, k=6, certified"
 
 
-def _infinity_sweep(label, ns) -> str:
-    """Every C_n . C_p in range is quasi at k = c + 1, c = ceil(n/2), labels
-    the shared vertex v2 with c ones then a two, and has n + p - 1 vertices."""
+def criterion_infinity_even() -> str:
+    """Even glued cycles: every (n, p) in range is quasi with the right k and shared label."""
     checked = 0
-    for n in ns:
-        c = (n + 1) // 2
-        for p in range(n, 5 * c + 4):
-            res = label(n, p)
-            assert res.labeling.k == c + 1, (n, p)
+    for n in (4, 6, 8, 10):
+        k = n // 2 + 1
+        for p in range(n, 5 * n // 2 + 4):
+            res = label_infinity_even(n, p)
+            assert res.labeling.k == k, (n, p)
             assert find_quasi_violation(res.digraph, res.labeling) is None, (n, p)
-            assert res.labeling.label_of("v2") == (1,) * c + (2,), (n, p)
+            assert res.labeling.label_of("v2") == (1,) * (k - 1) + (2,), (n, p)
             assert res.digraph.vertex_count == n + p - 1
             checked += 1
     return f"{checked} (n, p) pairs verified"
 
 
-def criterion_infinity_even() -> str:
-    """Even glued cycles: every (n, p) in range is quasi with the right k and shared label."""
-    return _infinity_sweep(label_infinity_even, (4, 6, 8, 10))
-
-
 def criterion_infinity_odd() -> str:
     """Odd glued cycles: every (n, p) in range is quasi with k = ceil(n/2)+1."""
-    return _infinity_sweep(label_infinity_odd, (5, 7, 9))
+    checked = 0
+    for n in (5, 7, 9):
+        k = (n + 1) // 2 + 1
+        for p in range(n, 5 * ((n + 1) // 2) + 4):
+            res = label_infinity_odd(n, p)
+            assert res.labeling.k == k, (n, p)
+            assert find_quasi_violation(res.digraph, res.labeling) is None, (n, p)
+            assert res.labeling.label_of("v2") == (1,) * (k - 1) + (2,), (n, p)
+            checked += 1
+    return f"{checked} (n, p) pairs verified"
 
 
 def criterion_infinity_c3() -> str:

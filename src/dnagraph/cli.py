@@ -162,71 +162,74 @@ def _cmd_acceptance(args, out) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every verb, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="dnagraph",
         description="construct, label, lift, verify, and search DNA-graph families",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def verb(name: str, run, summary: str) -> argparse.ArgumentParser:
-        command = sub.add_parser(name, help=summary)
-        command.set_defaults(func=run)
-        return command
-
-    gen = verb("gen", _cmd_gen, "generate a digraph family member")
+    gen = sub.add_parser("gen", help="generate a digraph family member")
     gen.add_argument("--family", required=True, choices=tuple(FAMILIES))
     for name in ("n", "p", "q"):
         gen.add_argument(f"--{name}", type=int)
     gen.add_argument("--out", help="write digraph text here instead of stdout")
     gen.add_argument("--dot", help="also write a DOT rendering")
+    gen.set_defaults(func=_cmd_gen)
 
-    lab = verb("label", _cmd_label, "emit a catalogued quasi-labeling")
+    lab = sub.add_parser("label", help="emit a catalogued quasi-labeling")
     lab.add_argument("--construction", required=True, choices=sorted(CONSTRUCTIONS))
     for name in ("n", "p", "q"):
         lab.add_argument(f"--{name}", type=int)
     lab.add_argument("--out-digraph")
     lab.add_argument("--out-labeling")
     lab.add_argument("--dot")
+    lab.set_defaults(func=_cmd_label)
 
-    lift = verb("lift", _cmd_lift, "lift a quasi-labeling through line digraphs")
+    lift = sub.add_parser("lift", help="lift a quasi-labeling through line digraphs")
     lift.add_argument("--m", type=int, required=True)
     lift.add_argument("--digraph", required=True)
     lift.add_argument("--labeling", required=True)
     lift.add_argument("--out-digraph")
     lift.add_argument("--out-labeling")
+    lift.set_defaults(func=_cmd_lift)
 
-    ver = verb("verify", _cmd_verify, "verify a labeling against a digraph")
+    ver = sub.add_parser("verify", help="verify a labeling against a digraph")
     ver.add_argument("--mode", choices=tuple(VERIFIERS), default="quasi")
     ver.add_argument("--digraph", required=True)
     ver.add_argument("--labeling", required=True)
+    ver.set_defaults(func=_cmd_verify)
 
-    sea = verb("search", _cmd_search, "backtracking labeling oracle")
+    sea = sub.add_parser("search", help="backtracking labeling oracle")
     sea.add_argument("--alpha", type=int, required=True)
     sea.add_argument("--k", type=int, required=True)
     sea.add_argument("--mode", choices=("quasi", "full"), default="quasi")
     sea.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     sea.add_argument("--digraph", required=True)
     sea.add_argument("--out-labeling")
+    sea.set_defaults(func=_cmd_search)
 
-    iso = verb("iso", _cmd_iso, "decide digraph isomorphism")
+    iso = sub.add_parser("iso", help="decide digraph isomorphism")
     iso.add_argument("--first", required=True)
     iso.add_argument("--second", required=True)
+    iso.set_defaults(func=_cmd_iso)
 
-    seq = verb("sequence", _cmd_sequence, "spell the spectrum of a labeled digraph")
+    seq = sub.add_parser("sequence", help="spell the spectrum of a labeled digraph")
     seq.add_argument("--digraph")
     seq.add_argument("--labeling")
     seq.add_argument("--start")
     seq.add_argument("--dot")
     seq.add_argument("--demo", action="store_true", help="use the bundled TACGACTA instance")
+    seq.set_defaults(func=_cmd_sequence)
 
-    con = verb("conjecture", _cmd_conjecture, "settle ladders for full labelings")
+    con = sub.add_parser("conjecture", help="settle ladders for full labelings")
     con.add_argument("--n-min", type=int, default=2)
     con.add_argument("--n-max", type=int, default=6)
     con.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    con.set_defaults(func=_cmd_conjecture)
 
-    acc = verb("acceptance", _cmd_acceptance, "run the acceptance suite")
+    acc = sub.add_parser("acceptance", help="run the acceptance suite")
     acc.add_argument("--only", help="run a single criterion by identifier")
+    acc.set_defaults(func=_cmd_acceptance)
 
     return parser
 

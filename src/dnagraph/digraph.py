@@ -174,23 +174,13 @@ def make_dipath(n: int) -> Digraph:
     return Digraph(vs, [(vs[i], vs[i + 1]) for i in range(n - 1)])
 
 
-def _glued(n: int, blades=()) -> Digraph:
-    """Dicycle v1 -> ... -> vn -> v1, then for each (prefix, length) of blades
-    a dicycle on prefix1, v2, prefix3, ..., prefix<length>, sharing v2."""
-    vs = [f"v{i}" for i in range(1, n + 1)]
-    vertices, arcs = list(vs), list(zip(vs, vs[1:] + vs[:1]))
-    for prefix, length in blades:
-        names = [f"{prefix}1", "v2"] + [f"{prefix}{i}" for i in range(3, length + 1)]
-        vertices += names[:1] + names[2:]
-        arcs += zip(names, names[1:] + names[:1])
-    return Digraph(vertices, arcs)
-
-
 def make_dicycle(n: int) -> Digraph:
     """Directed cycle v1 -> v2 -> ... -> vn -> v1."""
     if n < 2:
         raise InvalidParameterError("dicycle needs n >= 2")
-    return _glued(n)
+    vs = [f"v{i}" for i in range(1, n + 1)]
+    arcs = [(vs[i], vs[i + 1]) for i in range(n - 1)] + [(vs[-1], vs[0])]
+    return Digraph(vs, arcs)
 
 
 def make_chorded_cycle(n: int) -> Digraph:
@@ -202,9 +192,12 @@ def make_chorded_cycle(n: int) -> Digraph:
     """
     if n < 4:
         raise InvalidParameterError("chorded cycle needs n >= 4")
-    cycle = _glued(n)
-    chords = [(f"v{i - 2}", f"v{i}") for i in range(3, n - n % 3 + 1, 3)]
-    return Digraph(cycle.vertices, cycle.arcs + tuple(chords))
+    vs = [f"v{i}" for i in range(1, n + 1)]
+    arcs = [(vs[i], vs[i + 1]) for i in range(n - 1)] + [(vs[-1], vs[0])]
+    t = n % 3
+    for i in range(3, n - t + 1, 3):
+        arcs.append((vs[i - 3], vs[i - 1]))  # v_{i-2} -> v_i, names are 1-based
+    return Digraph(vs, arcs)
 
 
 def middle_vertices(d: Digraph, tail: str, head: str) -> Iterator[str]:
@@ -224,7 +217,12 @@ def make_infinity(n: int, p: int) -> Digraph:
     """
     if n < 3 or p < 3:
         raise InvalidParameterError("infinity digraph needs n >= 3 and p >= 3")
-    return _glued(n, (("u", p),))
+    vs = [f"v{i}" for i in range(1, n + 1)]
+    u = {i: (f"u{i}" if i != 2 else "v2") for i in range(1, p + 1)}
+    vertices = vs + [u[1]] + [u[i] for i in range(3, p + 1)]
+    arcs = [(vs[i], vs[i + 1]) for i in range(n - 1)] + [(vs[-1], vs[0])]
+    arcs += [(u[i], u[i + 1]) for i in range(1, p)] + [(u[p], u[1])]
+    return Digraph(vertices, arcs)
 
 
 def make_propeller3(n: int, p: int, q: int) -> Digraph:
@@ -235,7 +233,15 @@ def make_propeller3(n: int, p: int, q: int) -> Digraph:
     """
     if min(n, p, q) < 3:
         raise InvalidParameterError("every blade needs length >= 3")
-    return _glued(n, (("u", p), ("w", q)))
+    vs = [f"v{i}" for i in range(1, n + 1)]
+    vertices = list(vs)
+    arcs = [(vs[i], vs[i + 1]) for i in range(n - 1)] + [(vs[-1], vs[0])]
+    for prefix, length in (("u", p), ("w", q)):
+        names = {i: (f"{prefix}{i}" if i != 2 else "v2") for i in range(1, length + 1)}
+        vertices += [names[1]] + [names[i] for i in range(3, length + 1)]
+        arcs += [(names[i], names[i + 1]) for i in range(1, length)]
+        arcs.append((names[length], names[1]))
+    return Digraph(vertices, arcs)
 
 
 def make_windmill(n: int) -> Digraph:
@@ -250,8 +256,10 @@ def make_ladder(n: int) -> Digraph:
         raise InvalidParameterError("ladder needs n >= 2")
     top = [f"t{c}" for c in range(n)]
     bot = [f"b{c}" for c in range(n)]
-    arcs = list(zip(top, top[1:])) + list(zip(bot[1:], bot))
-    arcs += [(bot[c], top[c]) if c % 2 == 0 else (top[c], bot[c]) for c in range(n)]
+    arcs = [(top[c], top[c + 1]) for c in range(n - 1)]
+    arcs += [(bot[c + 1], bot[c]) for c in range(n - 1)]
+    for c in range(n):
+        arcs.append((bot[c], top[c]) if c % 2 == 0 else (top[c], bot[c]))
     return Digraph(top + bot, arcs)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property
 from itertools import chain, repeat
 from operator import floordiv, itemgetter, mod
 
@@ -29,10 +29,8 @@ from .errors import InvalidInputError
 
 Label = tuple[int, ...]
 
-# int(word, alpha) reads a code from the digits s - 1 of its symbols s.  These
-# tables map symbol values and the text digits '1'..'9' to those digits, and
-# all else to '!', which no base accepts: int() rejects symbols outside 1..alpha.
-_DIGIT_OF_SYMBOL = b"!" + b"0123456789abcdefghijklmnopqrstuvwxyz" + b"!" * 219
+# maps the text symbols '1'..'9' to their base-alpha digits '0'..'8', and all
+# else to '!', which int(word, alpha) rejects like a digit of alpha or more
 _DIGIT_OF_TEXT = b"!" * 49 + b"012345678" + b"!" * 198
 
 
@@ -41,38 +39,18 @@ def format_label(label: Label) -> str:
     return "".join(str(s) for s in label)
 
 
-@lru_cache(maxsize=4096)  # tuple views of small labelings repeat their labels
 def _decode(code: int, alpha: int, k: int) -> Label:
     """The k symbols whose code is code."""
-    symbols = []
-    for _ in range(k):
-        code, digit = divmod(code, alpha)
-        symbols.append(digit + 1)
-    return tuple(reversed(symbols))
+    return tuple(code // alpha ** i % alpha + 1 for i in reversed(range(k)))
 
 
-def _codes(words, table: bytes, alpha: int, k: int) -> list[int] | None:
-    """The code of each word, a bytes object that table maps to k digits, or
-    None if one is not k base-alpha digits (or alpha is outside 2..36)."""
-    try:
-        words = list(map(bytes.translate, words, repeat(table)))
-        return list(map(int, words, repeat(alpha))) if {k}.issuperset(map(len, words)) else None
-    except (TypeError, ValueError):  # a symbol that is no int in 0..255, or no digit
-        return None
-
-
-def _codes_one_by_one(assignment, alpha: int, k: int) -> list[int]:
-    """The codes of labels whose symbols int() reads, such as decimal strings;
-    raises the error of the first bad label, in assignment order."""
-    codes = []
-    for v, raw in assignment.items():
-        label = tuple(map(int, raw))
-        if len(label) != k:
-            raise InvalidInputError(f"label for {v} has length {len(label)}, expected k={k}")
-        if not all(1 <= s <= alpha for s in label):
-            raise InvalidInputError(f"label for {v} uses symbols outside 1..{alpha}")
-        codes.append(reduce(lambda code, s: code * alpha + s - 1, label, 0))
-    return codes
+def _decode_all(codes: list[int], alpha: int, k: int, high=tuple, low=tuple) -> list:
+    """high(h) + low(l) for the labels h of the high k - k // 2 and l of the low
+    k // 2 symbols of each code; each is computed once per value that occurs."""
+    split = alpha ** (k // 2)
+    high = {c: high(_decode(c, alpha, k - k // 2)) for c in {c // split for c in codes}}
+    low = {c: low(_decode(c, alpha, k // 2)) for c in {c % split for c in codes}}
+    return [high[c // split] + low[c % split] for c in codes]
 
 
 @dataclass(frozen=True, init=False)
@@ -95,10 +73,18 @@ class Labeling:
         if k < 2:
             raise InvalidInputError("label length k must be greater than 1")
         _check_names(tuple(assignment))
-        codes = _codes(map(bytes, assignment.values()), _DIGIT_OF_SYMBOL, alpha, k)
-        if codes is None:
-            codes = _codes_one_by_one(assignment, alpha, k)
-        vars(self).update(alpha=alpha, k=k, codes=dict(zip(assignment, codes)))
+        codes = {}
+        for v, raw in assignment.items():  # the first bad label raises
+            label = tuple(map(int, raw))
+            if len(label) != k:
+                raise InvalidInputError(f"label for {v} has length {len(label)}, expected k={k}")
+            code = 0
+            for s in label:
+                if not 1 <= s <= alpha:
+                    raise InvalidInputError(f"label for {v} uses symbols outside 1..{alpha}")
+                code = code * alpha + s - 1
+            codes[v] = code
+        vars(self).update(alpha=alpha, k=k, codes=codes)
 
     @classmethod
     def _trusted(cls, alpha: int, k: int, codes: dict[str, int]) -> "Labeling":
@@ -110,7 +96,7 @@ class Labeling:
     @cached_property
     def assignment(self) -> dict[str, Label]:
         """vertex -> label, decoded once, on first request."""
-        return {v: _decode(c, self.alpha, self.k) for v, c in self.codes.items()}
+        return dict(zip(self.codes, _decode_all(list(self.codes.values()), self.alpha, self.k)))
 
     def label_of(self, v: str) -> Label:
         return self.assignment[v]
@@ -128,23 +114,15 @@ def overlap_merge(a: Label, b: Label) -> Label:
     return a + (b[-1],)
 
 
-def _not_total(d: Digraph, lab: Labeling) -> InvalidInputError:
-    missing = sorted(set(d.vertices) - set(lab.codes))
-    extra = sorted(set(lab.codes) - set(d.vertices))
-    return InvalidInputError(
-        f"labeling is not total over the digraph (missing={missing[:3]}, extra={extra[:3]})")
-
-
 def _quasi(d: Digraph, lab: Labeling) -> tuple[str | None, list[int], list[int], list[int]]:
-    """(first quasi violation or None, then in vertex order the codes and
-    their (k-1)-prefix and (k-1)-suffix codes); lab must label exactly the
-    vertices of d."""
-    if len(lab.codes) != d.vertex_count:
-        raise _not_total(d, lab)
-    try:
-        codes = list(map(lab.codes.__getitem__, d.vertices))
-    except KeyError:
-        raise _not_total(d, lab) from None
+    """(first quasi violation or None, then in vertex order the codes and their
+    (k-1)-prefix and (k-1)-suffix codes); lab must label exactly d's vertices."""
+    codes = list(map(lab.codes.get, d.vertices))
+    if len(lab.codes) != d.vertex_count or None in codes:
+        missing = sorted(set(d.vertices) - set(lab.codes))
+        extra = sorted(set(lab.codes) - set(d.vertices))
+        raise InvalidInputError(
+            f"labeling is not total over the digraph (missing={missing[:3]}, extra={extra[:3]})")
     alpha, k = lab.alpha, lab.k
     prefix = list(map(floordiv, codes, repeat(alpha)))
     suffix = list(map(mod, codes, repeat(alpha ** (k - 1))))
@@ -181,7 +159,6 @@ def find_full_violation(d: Digraph, lab: Labeling) -> str | None:
     prefix_count = Counter(prefix)
     if sum(map(prefix_count.get, suffix, repeat(0))) == d.arc_count:
         return None
-    # so some overlap pair is not an arc; report the first
     by_prefix: dict[int, list[str]] = {}
     for v, p in zip(d.vertices, prefix):
         by_prefix.setdefault(p, []).append(v)
@@ -207,20 +184,10 @@ def find_dna_violation(d: Digraph, lab: Labeling) -> str | None:
 def format_labeling(lab: Labeling) -> str:
     """Header ``alpha k`` then one ``vertex<TAB>s1 s2 ... sk`` line per vertex,
     ordered by vertex name."""
-    alpha, k = lab.alpha, lab.k
     names = sorted(lab.codes)
-    codes = list(map(lab.codes.__getitem__, names))
-    # a row is its name, then the text of its high and of its low k // 2
-    # digits, each text built once per value that occurs
-    split = alpha ** (k // 2)
-    high = list(map(floordiv, codes, repeat(split)))
-    low = list(map(mod, codes, repeat(split)))
-    high_text = {c: "\t%s " % " ".join(map(str, _decode(c, alpha, k - k // 2))) for c in set(high)}
-    low_text = {c: "%s\n" % " ".join(map(str, _decode(c, alpha, k // 2))) for c in set(low)}
-    pieces = [f"{alpha} {k}\n"]
-    pieces += chain.from_iterable(zip(names, map(high_text.__getitem__, high),
-                                      map(low_text.__getitem__, low)))
-    return "".join(pieces)
+    rows = _decode_all(list(map(lab.codes.__getitem__, names)), lab.alpha, lab.k,
+                       lambda h: "\t%s " % " ".join(map(str, h)), lambda l: "%s\n" % " ".join(map(str, l)))
+    return "".join(chain([f"{lab.alpha} {lab.k}\n"], *zip(names, rows)))
 
 
 def parse_labeling(text: str) -> Labeling:
@@ -233,14 +200,17 @@ def parse_labeling(text: str) -> Labeling:
     alpha, k = int(rows[0][0]), int(rows[0][1])
     del rows[0]
     names = list(map(itemgetter(0), rows))
-    # distinct names, each with k one-character symbols: a row's code is read
-    # from its symbols joined, which are k characters long only then
+    # distinct names, k symbols a row: if every symbol is one ASCII character,
+    # the k bytes of a row's symbols joined and translated are its code
     if (alpha >= 1 and k >= 2 and len(set(names)) == len(names)
             and {k + 1}.issuperset(map(len, rows))):
         words = map(str.encode, map("".join, map(itemgetter(slice(1, None)), rows)))
-        codes = _codes(words, _DIGIT_OF_TEXT, alpha, k)
-        if codes is not None:
-            return Labeling._trusted(alpha, k, dict(zip(names, codes)))
+        words = list(map(bytes.translate, words, repeat(_DIGIT_OF_TEXT)))
+        if {k}.issuperset(map(len, words)):
+            try:
+                return Labeling._trusted(alpha, k, dict(zip(names, map(int, words, repeat(alpha)))))
+            except ValueError:  # a symbol outside 1..alpha, or alpha outside 2..36
+                pass
     # otherwise (symbols of several characters, or an error) read row by row
     assignment: dict[str, list[str]] = {}
     for name, *symbols in rows:

@@ -27,6 +27,11 @@ class TestLabelingType:
         with pytest.raises(InvalidInputError):
             Labeling(3, 3, {"a": (1, 2)})
 
+    def test_rejects_an_int_label_at_once(self):
+        # an int is no symbol sequence: nothing is built from its value first
+        with pytest.raises(TypeError):
+            Labeling(2, 2, {"a": (1, 2), "b": 10 ** 12})
+
     @pytest.mark.parametrize("name", ["a\tb", " a", "", "a b"])
     def test_names_follow_the_digraph_name_rule(self, name):
         # the text format could not carry these: "a\tb" read back as a bad
