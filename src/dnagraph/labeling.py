@@ -10,10 +10,6 @@ properties matter here:
 
 A digraph carrying a full labeling with alpha <= 4 is a DNA graph: symbols
 1..4 stand for the nucleotides A, C, G, T.
-
-Inside a Labeling a label is its code c, the base-alpha number of its
-symbols less one: its (k-1)-prefix is c // alpha, its (k-1)-suffix is
-c % alpha**(k-1), and x merged with y is c_x * alpha + c_y % alpha.
 """
 
 from __future__ import annotations
@@ -48,9 +44,9 @@ def _decode_all(codes: list[int], alpha: int, k: int, high=tuple, low=tuple) -> 
     """high(h) + low(l) for the labels h of the high k - k // 2 and l of the low
     k // 2 symbols of each code; each is computed once per value that occurs."""
     split = alpha ** (k // 2)
-    high = {c: high(_decode(c, alpha, k - k // 2)) for c in {c // split for c in codes}}
-    low = {c: low(_decode(c, alpha, k // 2)) for c in {c % split for c in codes}}
-    return [high[c // split] + low[c % split] for c in codes]
+    high_of = {c: high(_decode(c, alpha, k - k // 2)) for c in {c // split for c in codes}}
+    low_of = {c: low(_decode(c, alpha, k // 2)) for c in {c % split for c in codes}}
+    return [high_of[c // split] + low_of[c % split] for c in codes]
 
 
 @dataclass(frozen=True, init=False)
@@ -60,7 +56,9 @@ class Labeling:
     alpha is stored, not inferred from the symbols actually used: a labeling
     over three symbols can still be declared with alpha = 4, and that
     distinction decides DNA-graph certification.  codes maps every vertex
-    to the code of its label; the constructor takes the symbols.
+    to its label's code c, the base-alpha number of its symbols less one: the
+    (k-1)-prefix is c // alpha, the (k-1)-suffix c % alpha**(k-1), and x merged
+    with y is c_x * alpha + c_y % alpha.  The constructor takes the symbols.
     """
 
     alpha: int

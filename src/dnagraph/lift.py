@@ -42,11 +42,10 @@ def lift_once(d: Digraph, lab: Labeling) -> tuple[Digraph, Labeling]:
     lifted = line_digraph(d)
     # vertex i of L(d) is arc i of d, whose ends overlap (checked above): its
     # label is the tail label, then the last symbol of the head label
-    alpha = lab.alpha
-    shifted = list(map(mul, codes, repeat(alpha)))
-    last = list(map(mod, codes, repeat(alpha)))
+    shifted = list(map(mul, codes, repeat(lab.alpha)))
+    last = list(map(mod, codes, repeat(lab.alpha)))
     merged = map(add, map(shifted.__getitem__, d._tail), map(last.__getitem__, d._head))
-    lifted_lab = Labeling._trusted(alpha, lab.k + 1, dict(zip(lifted.vertices, merged)))
+    lifted_lab = Labeling._trusted(lab.alpha, lab.k + 1, dict(zip(lifted.vertices, merged)))
     bad = find_full_violation(lifted, lifted_lab)
     if bad is not None:
         raise ConstructionFailure(f"lifted labeling is not full (library bug): {bad}")
