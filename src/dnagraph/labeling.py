@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from operator import floordiv, itemgetter, mod
+from operator import eq, floordiv, itemgetter, mod
 
 from .digraph import Digraph, _check_names
 from .errors import InvalidInputError
@@ -129,7 +129,7 @@ def _quasi(d: Digraph, lab: Labeling) -> tuple[str | None, list[int], list[int],
         first: dict[int, str] = {}  # code -> the first vertex carrying it
         v, code = next((v, c) for v, c in zip(d.vertices, codes) if first.setdefault(c, v) != v)
         bad = f"vertices {first[code]} and {v} share label {format_label(_decode(code, alpha, k))}"
-    elif list(map(suffix.__getitem__, d._tail)) != list(map(prefix.__getitem__, d._head)):
+    elif not all(map(eq, map(suffix.__getitem__, d._tail), map(prefix.__getitem__, d._head))):
         t, h = next((t, h) for t, h in zip(d._tail, d._head) if suffix[t] != prefix[h])
         out, into = (format_label(_decode(c, alpha, k - 1)) for c in (suffix[t], prefix[h]))
         bad = f"arc {d.vertices[t]} -> {d.vertices[h]}: suffix {out} does not match prefix {into}"
@@ -185,7 +185,9 @@ def format_labeling(lab: Labeling) -> str:
     names = sorted(lab.codes)
     rows = _decode_all(list(map(lab.codes.__getitem__, names)), lab.alpha, lab.k,
                        lambda h: "\t%s " % " ".join(map(str, h)), lambda l: "%s\n" % " ".join(map(str, l)))
-    return "".join(chain([f"{lab.alpha} {lab.k}\n"], *zip(names, rows)))
+    pieces = [f"{lab.alpha} {lab.k}\n"]
+    pieces += chain.from_iterable(zip(names, rows))
+    return "".join(pieces)
 
 
 def parse_labeling(text: str) -> Labeling:
