@@ -25,8 +25,10 @@ from .errors import InvalidInputError
 
 Label = tuple[int, ...]
 
-# maps the text symbols '1'..'9' to their base-alpha digits '0'..'8', and all
-# else to '!', which int(word, alpha) rejects like a digit of alpha or more
+# int(word, alpha) reads a code from the digits s - 1 of its symbols s.  These
+# tables map symbol values and the text digits '1'..'9' to those digits, and
+# all else to '!', which no base accepts: int() rejects symbols outside 1..alpha.
+_DIGIT_OF_SYMBOL = b"!" + b"0123456789abcdefghijklmnopqrstuvwxyz" + b"!" * 219
 _DIGIT_OF_TEXT = b"!" * 49 + b"012345678" + b"!" * 198
 
 
@@ -37,16 +39,21 @@ def format_label(label: Label) -> str:
 
 def _decode(code: int, alpha: int, k: int) -> Label:
     """The k symbols whose code is code."""
-    return tuple(code // alpha ** i % alpha + 1 for i in reversed(range(k)))
+    symbols = []
+    for _ in range(k):
+        code, digit = divmod(code, alpha)
+        symbols.append(digit + 1)
+    return tuple(reversed(symbols))
 
 
-def _decode_all(codes: list[int], alpha: int, k: int, high=tuple, low=tuple) -> list:
-    """high(h) + low(l) for the labels h of the high k - k // 2 and l of the low
-    k // 2 symbols of each code; each is computed once per value that occurs."""
-    split = alpha ** (k // 2)
-    high_of = {c: high(_decode(c, alpha, k - k // 2)) for c in {c // split for c in codes}}
-    low_of = {c: low(_decode(c, alpha, k // 2)) for c in {c % split for c in codes}}
-    return [high_of[c // split] + low_of[c % split] for c in codes]
+def _codes(words, table: bytes, alpha: int, k: int) -> list[int] | None:
+    """The code of each word, a bytes object that table maps to k digits, or
+    None if one is not k base-alpha digits (or alpha is outside 2..36)."""
+    try:
+        words = list(map(bytes.translate, words, repeat(table)))
+        return list(map(int, words, repeat(alpha))) if {k}.issuperset(map(len, words)) else None
+    except (TypeError, ValueError):  # a symbol that is no int in 0..255, or no digit
+        return None
 
 
 @dataclass(frozen=True, init=False)
@@ -71,18 +78,22 @@ class Labeling:
         if k < 2:
             raise InvalidInputError("label length k must be greater than 1")
         _check_names(tuple(assignment))
-        codes = {}
-        for v, raw in assignment.items():  # the first bad label raises
-            label = tuple(map(int, raw))
-            if len(label) != k:
-                raise InvalidInputError(f"label for {v} has length {len(label)}, expected k={k}")
-            code = 0
-            for s in label:
-                if not 1 <= s <= alpha:
-                    raise InvalidInputError(f"label for {v} uses symbols outside 1..{alpha}")
-                code = code * alpha + s - 1
-            codes[v] = code
-        vars(self).update(alpha=alpha, k=k, codes=codes)
+        # labels of int symbols in 1..min(alpha, 36) are read at once; tuple()
+        # stops a label that is no sequence, such as an int, before bytes() sees it
+        codes = _codes(map(bytes, map(tuple, assignment.values())), _DIGIT_OF_SYMBOL, alpha, k)
+        if codes is None:  # a bad label raises here, the first in assignment order
+            codes = []
+            for v, raw in assignment.items():
+                label = tuple(map(int, raw))
+                if len(label) != k:
+                    raise InvalidInputError(f"label for {v} has length {len(label)}, expected k={k}")
+                code = 0
+                for s in label:
+                    if not 1 <= s <= alpha:
+                        raise InvalidInputError(f"label for {v} uses symbols outside 1..{alpha}")
+                    code = code * alpha + s - 1
+                codes.append(code)
+        vars(self).update(alpha=alpha, k=k, codes=dict(zip(assignment, codes)))
 
     @classmethod
     def _trusted(cls, alpha: int, k: int, codes: dict[str, int]) -> "Labeling":
@@ -94,7 +105,7 @@ class Labeling:
     @cached_property
     def assignment(self) -> dict[str, Label]:
         """vertex -> label, decoded once, on first request."""
-        return dict(zip(self.codes, _decode_all(list(self.codes.values()), self.alpha, self.k)))
+        return {v: _decode(c, self.alpha, self.k) for v, c in self.codes.items()}
 
     def label_of(self, v: str) -> Label:
         return self.assignment[v]
@@ -182,11 +193,19 @@ def find_dna_violation(d: Digraph, lab: Labeling) -> str | None:
 def format_labeling(lab: Labeling) -> str:
     """Header ``alpha k`` then one ``vertex<TAB>s1 s2 ... sk`` line per vertex,
     ordered by vertex name."""
+    alpha, k = lab.alpha, lab.k
     names = sorted(lab.codes)
-    rows = _decode_all(list(map(lab.codes.__getitem__, names)), lab.alpha, lab.k,
-                       lambda h: "\t%s " % " ".join(map(str, h)), lambda l: "%s\n" % " ".join(map(str, l)))
-    pieces = [f"{lab.alpha} {lab.k}\n"]
-    pieces += chain.from_iterable(zip(names, rows))
+    codes = list(map(lab.codes.__getitem__, names))
+    # a row is its name, then the text of its high k - k // 2 symbols and of
+    # its low k // 2, each text built once per value that occurs
+    split = alpha ** (k // 2)
+    high = list(map(floordiv, codes, repeat(split)))
+    low = list(map(mod, codes, repeat(split)))
+    high_text = {c: "\t%s " % " ".join(map(str, _decode(c, alpha, k - k // 2))) for c in set(high)}
+    low_text = {c: "%s\n" % " ".join(map(str, _decode(c, alpha, k // 2))) for c in set(low)}
+    pieces = [f"{alpha} {k}\n"]
+    pieces += chain.from_iterable(zip(names, map(high_text.__getitem__, high),
+                                      map(low_text.__getitem__, low)))
     return "".join(pieces)
 
 
@@ -205,12 +224,9 @@ def parse_labeling(text: str) -> Labeling:
     if (alpha >= 1 and k >= 2 and len(set(names)) == len(names)
             and {k + 1}.issuperset(map(len, rows))):
         words = map(str.encode, map("".join, map(itemgetter(slice(1, None)), rows)))
-        words = list(map(bytes.translate, words, repeat(_DIGIT_OF_TEXT)))
-        if {k}.issuperset(map(len, words)):
-            try:
-                return Labeling._trusted(alpha, k, dict(zip(names, map(int, words, repeat(alpha)))))
-            except ValueError:  # a symbol outside 1..alpha, or alpha outside 2..36
-                pass
+        codes = _codes(words, _DIGIT_OF_TEXT, alpha, k)
+        if codes is not None:
+            return Labeling._trusted(alpha, k, dict(zip(names, codes)))
     # otherwise (symbols of several characters, or an error) read row by row
     assignment: dict[str, list[str]] = {}
     for name, *symbols in rows:
