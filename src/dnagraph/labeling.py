@@ -41,9 +41,10 @@ def _decode(code: int, alpha: int, k: int) -> Label:
     """The k symbols whose code is code."""
     symbols = []
     for _ in range(k):
-        code, digit = divmod(code, alpha)
-        symbols.append(digit + 1)
-    return tuple(reversed(symbols))
+        symbols.append(code % alpha + 1)
+        code //= alpha
+    symbols.reverse()
+    return tuple(symbols)
 
 
 def _codes(words, table: bytes, alpha: int, k: int) -> list[int] | None:
