@@ -82,7 +82,7 @@ class Labeling:
         # labels of int symbols in 1..min(alpha, 36) are read at once; tuple()
         # stops a label that is no sequence, such as an int, before bytes() sees it
         codes = _codes(map(bytes, map(tuple, assignment.values())), _DIGIT_OF_SYMBOL, alpha, k)
-        if codes is None:  # a bad label raises here, the first in assignment order
+        if codes is None:  # decimal strings, alpha > 36, or the first bad label's error
             codes = []
             for v, raw in assignment.items():
                 label = tuple(map(int, raw))
