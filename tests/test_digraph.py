@@ -1,6 +1,9 @@
+import hashlib
+import itertools
+
 import pytest
 
-from dnagraph import (Digraph, InvalidParameterError, ResourceLimitError,
+from dnagraph import (FAMILIES, Digraph, InvalidParameterError, ResourceLimitError,
                       chords_of, format_digraph_text, isomorphic,
                       line_digraph, make_chorded_cycle, make_dicycle, make_dipath,
                       make_infinity, make_ladder, make_propeller3, make_windmill,
@@ -257,3 +260,23 @@ class TestTextFormats:
         assert '"v1" [label="v1\\n11"];' in dot
         assert '"v3" -> "v1";' in dot
         assert to_dot(d).count("->") == 3
+
+
+def test_family_generators_are_pinned():
+    # every FAMILIES generator over a grid of parameters, including the ones
+    # it refuses: one sha256 over each member's vertex and arc tuples, or its
+    # error type and message
+    grid = {"n": range(1, 30), "p": range(2, 20), "q": range(2, 12)}
+    digest = hashlib.sha256()
+    members = 0
+    for family, (params, make) in FAMILIES.items():
+        for values in itertools.product(*(grid[name] for name in params)):
+            try:
+                d = make(*values)
+                got = (d.vertices, d.arcs)
+            except InvalidParameterError as exc:
+                got = (type(exc).__name__, str(exc))
+            digest.update(repr((family, values, got)).encode())
+            members += 1
+    assert members == 5887
+    assert digest.hexdigest() == "7d508118cc2f5a3b3645f4a3b0ebd0714d08f7d4cc17a589c201e299be506dc4"
