@@ -122,12 +122,13 @@ def _cmd_sequence(args, out) -> int:
         d, lab = _load_pair(args)
     if args.start is not None and not d.has_vertex(args.start):
         raise InvalidParameterError(f"start vertex {args.start} is not in the digraph")
+    # both raise on bad input, so they run before anything is written
     names = to_nucleotides(lab)
+    arc_labels = pevzner_arc_labels(d, lab)
     out.write("vertices:\n")
     for v in d.vertices:
         out.write(f"  {v}\t{names[v]}\n")
     out.write("arcs:\n")
-    arc_labels = pevzner_arc_labels(d, lab)
     for arc, merged in arc_labels.items():
         out.write(f"  {arc[0]} {arc[1]}\t{merged}\n")
     path = eulerian_path(d, args.start)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterator
+from functools import cached_property
 from itertools import chain, count, repeat
 from operator import add, mul
 
@@ -60,26 +61,24 @@ class Digraph:
 
     The arcs are two index lists into the vertex tuple, arc i being
     tail[i] -> head[i]: every constructor sets them, and line digraphs, both
-    text formats and the verifiers work on them.  Name pairs, the arc set
-    and adjacency are views built on first request.
+    text formats and the verifiers work on them.  Name pairs, the arc set,
+    the vertex set and adjacency are views, each a ``cached_property`` built
+    on first request.
     """
 
-    __slots__ = ("_vertices", "_arcs", "_tail", "_head", "_vset", "_arcset", "_out", "_in")
-
     def __init__(self, vertices, arcs):
-        self._vertices = names = tuple(vertices)
+        self.vertices = names = tuple(vertices)
         index = {v: i for i, v in enumerate(names)}
         if len(index) != len(names):
             raise InvalidParameterError("duplicate vertex name in vertex set")
         _check_names(names)
-        self._arcs = arcs = tuple(map(tuple, arcs))
+        self.arcs = arcs = tuple(map(tuple, arcs))
         try:
             self._tail = [index[t] for t, _ in arcs]
             self._head = [index[h] for _, h in arcs]
         except (KeyError, ValueError):
             _first_arc_error(names, arcs)
         _check_repeats(names, self._tail, self._head)
-        self._vset = self._arcset = self._out = self._in = None
 
     @classmethod
     def _from_indices(cls, vertices: tuple[str, ...], tail: list[int], head: list[int]) -> "Digraph":
@@ -89,58 +88,51 @@ class Digraph:
         valid, indices in range, no arc twice.
         """
         d = cls.__new__(cls)
-        d._vertices, d._tail, d._head = vertices, tail, head
-        d._arcs = d._vset = d._arcset = d._out = d._in = None
+        d.vertices, d._tail, d._head = vertices, tail, head
         return d
 
-    def _build_adjacency(self):
-        out = {v: [] for v in self._vertices}
-        inc = {v: [] for v in self._vertices}
+    @cached_property
+    def arcs(self) -> tuple[tuple[str, str], ...]:
+        names = self.vertices
+        return tuple(zip(map(names.__getitem__, self._tail), map(names.__getitem__, self._head)))
+
+    @cached_property
+    def _vset(self) -> frozenset[str]:
+        return frozenset(self.vertices)
+
+    @cached_property
+    def _arcset(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self.arcs)
+
+    @cached_property
+    def _adjacency(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+        """(out-neighbours, in-neighbours) of every vertex, in arc order."""
+        out: dict[str, list[str]] = {v: [] for v in self.vertices}
+        inc: dict[str, list[str]] = {v: [] for v in self.vertices}
         for tail, head in self.arcs:
             out[tail].append(head)
             inc[head].append(tail)
-        self._out = {v: tuple(ns) for v, ns in out.items()}
-        self._in = {v: tuple(ns) for v, ns in inc.items()}
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return self._vertices
-
-    @property
-    def arcs(self) -> tuple[tuple[str, str], ...]:
-        if self._arcs is None:
-            names = self._vertices
-            self._arcs = tuple(zip(map(names.__getitem__, self._tail),
-                                   map(names.__getitem__, self._head)))
-        return self._arcs
+        return ({v: tuple(ns) for v, ns in out.items()}, {v: tuple(ns) for v, ns in inc.items()})
 
     @property
     def vertex_count(self) -> int:
-        return len(self._vertices)
+        return len(self.vertices)
 
     @property
     def arc_count(self) -> int:
         return len(self._tail)
 
     def has_vertex(self, v: str) -> bool:
-        if self._vset is None:
-            self._vset = frozenset(self._vertices)
         return v in self._vset
 
     def has_arc(self, tail: str, head: str) -> bool:
-        if self._arcset is None:
-            self._arcset = frozenset(self.arcs)
         return (tail, head) in self._arcset
 
     def out_neighbors(self, v: str) -> tuple[str, ...]:
-        if self._out is None:
-            self._build_adjacency()
-        return self._out[v]
+        return self._adjacency[0][v]
 
     def in_neighbors(self, v: str) -> tuple[str, ...]:
-        if self._in is None:
-            self._build_adjacency()
-        return self._in[v]
+        return self._adjacency[1][v]
 
     def out_degree(self, v: str) -> int:
         return len(self.out_neighbors(v))
@@ -152,11 +144,11 @@ class Digraph:
         if not isinstance(other, Digraph):
             return NotImplemented
         # equal vertex tuples index alike, so equal index lists mean equal arcs
-        return (self._vertices == other._vertices and self._tail == other._tail
+        return (self.vertices == other.vertices and self._tail == other._tail
                 and self._head == other._head)
 
     def __hash__(self):
-        return hash((self._vertices, tuple(self._tail), tuple(self._head)))
+        return hash((self.vertices, tuple(self._tail), tuple(self._head)))
 
     def __repr__(self):
         return f"Digraph(|V|={self.vertex_count}, |A|={self.arc_count})"
@@ -174,13 +166,25 @@ def make_dipath(n: int) -> Digraph:
     return Digraph(vs, [(vs[i], vs[i + 1]) for i in range(n - 1)])
 
 
+def _glued_cycles(*lengths: int, chords=()) -> Digraph:
+    """Dicycles of the given lengths glued at the second vertex of each, with
+    the chords v_i -> v_j for each (i, j) in chords.
+
+    The cycles are v1..vn, then u1..up and w1..wq, where the second vertex of
+    every cycle is the shared v2; vertices are listed in that order, each once.
+    """
+    cycles = [[f"{prefix}{i}" if i != 2 else "v2" for i in range(1, length + 1)]
+              for prefix, length in zip("vuw", lengths)]
+    arcs = [arc for names in cycles for arc in zip(names, names[1:] + names[:1])]
+    arcs += [(f"v{i}", f"v{j}") for i, j in chords]
+    return Digraph(dict.fromkeys(chain.from_iterable(cycles)), arcs)
+
+
 def make_dicycle(n: int) -> Digraph:
     """Directed cycle v1 -> v2 -> ... -> vn -> v1."""
     if n < 2:
         raise InvalidParameterError("dicycle needs n >= 2")
-    vs = [f"v{i}" for i in range(1, n + 1)]
-    arcs = [(vs[i], vs[i + 1]) for i in range(n - 1)] + [(vs[-1], vs[0])]
-    return Digraph(vs, arcs)
+    return _glued_cycles(n)
 
 
 def make_chorded_cycle(n: int) -> Digraph:
@@ -192,12 +196,7 @@ def make_chorded_cycle(n: int) -> Digraph:
     """
     if n < 4:
         raise InvalidParameterError("chorded cycle needs n >= 4")
-    vs = [f"v{i}" for i in range(1, n + 1)]
-    arcs = [(vs[i], vs[i + 1]) for i in range(n - 1)] + [(vs[-1], vs[0])]
-    t = n % 3
-    for i in range(3, n - t + 1, 3):
-        arcs.append((vs[i - 3], vs[i - 1]))  # v_{i-2} -> v_i, names are 1-based
-    return Digraph(vs, arcs)
+    return _glued_cycles(n, chords=[(i - 2, i) for i in range(3, n - n % 3 + 1, 3)])
 
 
 def middle_vertices(d: Digraph, tail: str, head: str) -> Iterator[str]:
@@ -217,12 +216,7 @@ def make_infinity(n: int, p: int) -> Digraph:
     """
     if n < 3 or p < 3:
         raise InvalidParameterError("infinity digraph needs n >= 3 and p >= 3")
-    vs = [f"v{i}" for i in range(1, n + 1)]
-    u = {i: (f"u{i}" if i != 2 else "v2") for i in range(1, p + 1)}
-    vertices = vs + [u[1]] + [u[i] for i in range(3, p + 1)]
-    arcs = [(vs[i], vs[i + 1]) for i in range(n - 1)] + [(vs[-1], vs[0])]
-    arcs += [(u[i], u[i + 1]) for i in range(1, p)] + [(u[p], u[1])]
-    return Digraph(vertices, arcs)
+    return _glued_cycles(n, p)
 
 
 def make_propeller3(n: int, p: int, q: int) -> Digraph:
@@ -233,15 +227,7 @@ def make_propeller3(n: int, p: int, q: int) -> Digraph:
     """
     if min(n, p, q) < 3:
         raise InvalidParameterError("every blade needs length >= 3")
-    vs = [f"v{i}" for i in range(1, n + 1)]
-    vertices = list(vs)
-    arcs = [(vs[i], vs[i + 1]) for i in range(n - 1)] + [(vs[-1], vs[0])]
-    for prefix, length in (("u", p), ("w", q)):
-        names = {i: (f"{prefix}{i}" if i != 2 else "v2") for i in range(1, length + 1)}
-        vertices += [names[1]] + [names[i] for i in range(3, length + 1)]
-        arcs += [(names[i], names[i + 1]) for i in range(1, length)]
-        arcs.append((names[length], names[1]))
-    return Digraph(vertices, arcs)
+    return _glued_cycles(n, p, q)
 
 
 def make_windmill(n: int) -> Digraph:

@@ -16,19 +16,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, repeat
-from operator import eq, floordiv, itemgetter, mod
+from operator import floordiv, itemgetter, mod
 
 from .digraph import Digraph, _check_names
 from .errors import InvalidInputError
 
 Label = tuple[int, ...]
 
-# int(word, alpha) reads a code from the digits s - 1 of its symbols s.  These
-# tables map symbol values and the text digits '1'..'9' to those digits, and
-# all else to '!', which no base accepts: int() rejects symbols outside 1..alpha.
-_DIGIT_OF_SYMBOL = b"!" + b"0123456789abcdefghijklmnopqrstuvwxyz" + b"!" * 219
+# int(word, alpha) reads a code from the digits s - 1 of its symbols s.  This
+# table maps the text digits '1'..'9' to those digits, and all else to '!',
+# which no base accepts: int() rejects symbols outside 1..alpha.
 _DIGIT_OF_TEXT = b"!" * 49 + b"012345678" + b"!" * 198
 
 
@@ -47,16 +45,6 @@ def _decode(code: int, alpha: int, k: int) -> Label:
     return tuple(symbols)
 
 
-def _codes(words, table: bytes, alpha: int, k: int) -> list[int] | None:
-    """The code of each word, a bytes object that table maps to k digits, or
-    None if one is not k base-alpha digits (or alpha is outside 2..36)."""
-    try:
-        words = list(map(bytes.translate, words, repeat(table)))
-        return list(map(int, words, repeat(alpha))) if {k}.issuperset(map(len, words)) else None
-    except (TypeError, ValueError):  # a symbol that is no int in 0..255, or no digit
-        return None
-
-
 @dataclass(frozen=True, init=False)
 class Labeling:
     """Total vertex -> label association with its declared (alpha, k).
@@ -66,7 +54,9 @@ class Labeling:
     distinction decides DNA-graph certification.  codes maps every vertex
     to its label's code c, the base-alpha number of its symbols less one: the
     (k-1)-prefix is c // alpha, the (k-1)-suffix c % alpha**(k-1), and x merged
-    with y is c_x * alpha + c_y % alpha.  The constructor takes the symbols.
+    with y is c_x * alpha + c_y % alpha.  The constructor takes the symbols;
+    label_of decodes the one label asked for, and assignment decodes them all
+    on each request.
     """
 
     alpha: int
@@ -79,22 +69,18 @@ class Labeling:
         if k < 2:
             raise InvalidInputError("label length k must be greater than 1")
         _check_names(tuple(assignment))
-        # labels of int symbols in 1..min(alpha, 36) are read at once; tuple()
-        # stops a label that is no sequence, such as an int, before bytes() sees it
-        codes = _codes(map(bytes, map(tuple, assignment.values())), _DIGIT_OF_SYMBOL, alpha, k)
-        if codes is None:  # decimal strings, alpha > 36, or the first bad label's error
-            codes = []
-            for v, raw in assignment.items():
-                label = tuple(map(int, raw))
-                if len(label) != k:
-                    raise InvalidInputError(f"label for {v} has length {len(label)}, expected k={k}")
-                code = 0
-                for s in label:
-                    if not 1 <= s <= alpha:
-                        raise InvalidInputError(f"label for {v} uses symbols outside 1..{alpha}")
-                    code = code * alpha + s - 1
-                codes.append(code)
-        vars(self).update(alpha=alpha, k=k, codes=dict(zip(assignment, codes)))
+        codes: dict[str, int] = {}
+        for v, raw in assignment.items():
+            label = tuple(map(int, raw))
+            if len(label) != k:
+                raise InvalidInputError(f"label for {v} has length {len(label)}, expected k={k}")
+            code = 0
+            for s in label:
+                if not 1 <= s <= alpha:
+                    raise InvalidInputError(f"label for {v} uses symbols outside 1..{alpha}")
+                code = code * alpha + s - 1
+            codes[v] = code
+        vars(self).update(alpha=alpha, k=k, codes=codes)
 
     @classmethod
     def _trusted(cls, alpha: int, k: int, codes: dict[str, int]) -> "Labeling":
@@ -103,13 +89,13 @@ class Labeling:
         vars(lab).update(alpha=alpha, k=k, codes=codes)
         return lab
 
-    @cached_property
+    @property
     def assignment(self) -> dict[str, Label]:
-        """vertex -> label, decoded once, on first request."""
+        """vertex -> label, every label decoded."""
         return {v: _decode(c, self.alpha, self.k) for v, c in self.codes.items()}
 
     def label_of(self, v: str) -> Label:
-        return self.assignment[v]
+        return _decode(self.codes[v], self.alpha, self.k)
 
     def relabeled(self, permutation: dict[int, int]) -> "Labeling":
         """Apply one alphabet permutation uniformly to every label."""
@@ -124,9 +110,9 @@ def overlap_merge(a: Label, b: Label) -> Label:
     return a + (b[-1],)
 
 
-def _quasi(d: Digraph, lab: Labeling) -> tuple[str | None, list[int], list[int], list[int]]:
-    """(first quasi violation or None, then in vertex order the codes and their
-    (k-1)-prefix and (k-1)-suffix codes); lab must label exactly d's vertices."""
+def _quasi(d: Digraph, lab: Labeling) -> tuple[str | None, list[int]]:
+    """(first quasi violation or None, the codes in vertex order); lab must
+    label exactly d's vertices."""
     codes = list(map(lab.codes.get, d.vertices))
     if len(lab.codes) != d.vertex_count or None in codes:
         missing = sorted(set(d.vertices) - set(lab.codes))
@@ -134,18 +120,21 @@ def _quasi(d: Digraph, lab: Labeling) -> tuple[str | None, list[int], list[int],
         raise InvalidInputError(
             f"labeling is not total over the digraph (missing={missing[:3]}, extra={extra[:3]})")
     alpha, k = lab.alpha, lab.k
-    prefix = list(map(floordiv, codes, repeat(alpha)))
-    suffix = list(map(mod, codes, repeat(alpha ** (k - 1))))
+    window = alpha ** (k - 1)
     bad = None
     if len(set(codes)) != len(codes):
         first: dict[int, str] = {}  # code -> the first vertex carrying it
         v, code = next((v, c) for v, c in zip(d.vertices, codes) if first.setdefault(c, v) != v)
         bad = f"vertices {first[code]} and {v} share label {format_label(_decode(code, alpha, k))}"
-    elif not all(map(eq, map(suffix.__getitem__, d._tail), map(prefix.__getitem__, d._head))):
-        t, h = next((t, h) for t, h in zip(d._tail, d._head) if suffix[t] != prefix[h])
-        out, into = (format_label(_decode(c, alpha, k - 1)) for c in (suffix[t], prefix[h]))
-        bad = f"arc {d.vertices[t]} -> {d.vertices[h]}: suffix {out} does not match prefix {into}"
-    return bad, codes, prefix, suffix
+    else:
+        for t, h in zip(d._tail, d._head):
+            if codes[t] % window != codes[h] // alpha:
+                out, into = (format_label(_decode(c, alpha, k - 1))
+                             for c in (codes[t] % window, codes[h] // alpha))
+                bad = (f"arc {d.vertices[t]} -> {d.vertices[h]}: "
+                       f"suffix {out} does not match prefix {into}")
+                break
+    return bad, codes
 
 
 def find_quasi_violation(d: Digraph, lab: Labeling) -> str | None:
@@ -159,9 +148,11 @@ def find_quasi_violation(d: Digraph, lab: Labeling) -> str | None:
 
 def find_full_violation(d: Digraph, lab: Labeling) -> str | None:
     """First violation of the full deBruijn property, or None."""
-    bad, _, prefix, suffix = _quasi(d, lab)
+    bad, codes = _quasi(d, lab)
     if bad is not None:
         return bad
+    prefix = list(map(floordiv, codes, repeat(lab.alpha)))
+    suffix = list(map(mod, codes, repeat(lab.alpha ** (lab.k - 1))))
     # Quasi holds, so every arc x -> y is an overlapping ordered pair
     # (suffix(x) = prefix(y), x = y included), and arcs are distinct: the arc
     # set is a subset of the overlap pairs, and equals it iff the two counts
@@ -225,9 +216,12 @@ def parse_labeling(text: str) -> Labeling:
     if (alpha >= 1 and k >= 2 and len(set(names)) == len(names)
             and {k + 1}.issuperset(map(len, rows))):
         words = map(str.encode, map("".join, map(itemgetter(slice(1, None)), rows)))
-        codes = _codes(words, _DIGIT_OF_TEXT, alpha, k)
-        if codes is not None:
-            return Labeling._trusted(alpha, k, dict(zip(names, codes)))
+        try:
+            words = list(map(bytes.translate, words, repeat(_DIGIT_OF_TEXT)))
+            if {k}.issuperset(map(len, words)):
+                return Labeling._trusted(alpha, k, dict(zip(names, map(int, words, repeat(alpha)))))
+        except ValueError:  # a symbol that is no digit 1..alpha, or alpha outside 2..36
+            pass
     # otherwise (symbols of several characters, or an error) read row by row
     assignment: dict[str, list[str]] = {}
     for name, *symbols in rows:

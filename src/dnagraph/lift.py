@@ -36,7 +36,7 @@ class LiftedLabeling:
 
 def lift_once(d: Digraph, lab: Labeling) -> tuple[Digraph, Labeling]:
     """One lift step: quasi-(alpha, k) on d -> full (alpha, k+1) on L(d)."""
-    bad, codes, _, _ = _quasi(d, lab)
+    bad, codes = _quasi(d, lab)
     if bad is not None:
         raise InvalidInputError(f"lift needs a quasi-valid labeling: {bad}")
     lifted = line_digraph(d)

@@ -12,6 +12,7 @@ such as the squares of a ladder close, and get refuted, as early as possible.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .digraph import Digraph, make_ladder, middle_vertices
@@ -75,19 +76,23 @@ def _vertex_order(d: Digraph) -> list[str]:
     return order
 
 
-def _canonical_first_labels(alpha: int, k: int) -> list[int]:
+def _canonical_first_labels(alpha: int, k: int) -> Iterator[int]:
     """Codes of the labels whose symbols appear in first-occurrence order
-    1, 2, 3, ..., in increasing order.
+    1, 2, 3, ..., in increasing order, made one at a time.
 
     Labelings are closed under alphabet permutation, so restricting the
     first decided vertex to these patterns divides the tree by up to
     alpha! without losing completeness.
     """
-    out = [(0, 1)]  # (code, symbols used so far)
-    for _ in range(k - 1):
-        out = [(code * alpha + z, max(used, z + 1))
-               for code, used in out for z in range(min(alpha, used + 1))]
-    return [code for code, _ in out]
+    def extend(code: int, used: int, left: int) -> Iterator[int]:
+        # code holds the symbols made so far, used of them distinct; left more to come
+        if not left:
+            yield code
+            return
+        for z in range(min(alpha, used + 1)):
+            yield from extend(code * alpha + z, max(used, z + 1), left - 1)
+
+    return extend(0, 1, k - 1)
 
 
 def find_labeling(d: Digraph, cfg: SearchConfig) -> SearchOutcome:

@@ -237,6 +237,22 @@ def test_sequence_unknown_start_is_usage_error():
     assert err == "error: start vertex ZZ is not in the digraph\n"
 
 
+@pytest.mark.parametrize("labels, error", [
+    ("x\t1 2\ny\t2 3\n", "labeling is not total over the digraph (missing=['z'], extra=[])"),
+    ("x\t1 2\ny\t2 3\nz\t3 1\nw\t4 4\n",
+     "labeling is not total over the digraph (missing=[], extra=['w'])"),
+    ("x\t1 2\ny\t2 3\nz\t3 4\n",
+     "arc labels need a quasi-valid labeling: arc z -> x: suffix 4 does not match prefix 1"),
+])
+def test_sequence_bad_labeling_writes_nothing(tmp_path, labels, error):
+    g = tmp_path / "cycle.txt"
+    l = tmp_path / "cycle.lab"
+    g.write_text("3 3\nx y\ny z\nz x\n")
+    l.write_text("4 2\n" + labels)
+    code, out, err = run_with_err(["sequence", "--digraph", str(g), "--labeling", str(l)])
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 def test_conjecture_table():
     code, out = run(["conjecture", "--n-min", "2", "--n-max", "3"])
     assert code == 0

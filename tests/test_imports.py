@@ -5,6 +5,8 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 import dnagraph
 
 PACKAGE = Path(dnagraph.__file__).parent
@@ -36,3 +38,11 @@ def test_package_imports_only_the_standard_library():
     assert len(paths) >= 9
     for path in paths:
         assert foreign_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_package_parses_at_the_oldest_supported_python():
+    # pyproject.toml requires Python >= 3.10: no module may use later syntax
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=path.name, feature_version=(3, 10))

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import dnagraph.labeling
 from dnagraph import (Digraph, InvalidInputError, InvalidParameterError, Labeling, find_dna_violation,
                       find_full_violation, find_quasi_violation, format_label,
                       format_labeling, label_chorded_cycle, make_dicycle, make_ladder,
@@ -39,6 +40,18 @@ class TestLabelingType:
         with pytest.raises(InvalidParameterError,
                            match=r"vertex name .* is empty or contains whitespace"):
             Labeling(2, 2, {"c": (2, 1), name: (1, 2)})
+
+    def test_label_of_decodes_one_label(self, monkeypatch):
+        decoded = []
+
+        def counting(code, alpha, k):
+            decoded.append(code)
+            return _decode(code, alpha, k)
+
+        words = itertools.islice(itertools.product(range(1, 5), repeat=4), 100)
+        lab = Labeling(4, 4, dict(zip(map("x{}".format, itertools.count()), words)))
+        monkeypatch.setattr(dnagraph.labeling, "_decode", counting)
+        assert lab.label_of("x99") == (2, 3, 1, 4) and decoded == [99]
 
     def test_format_label(self):
         assert format_label((1, 2, 3)) == "123"

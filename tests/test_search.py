@@ -7,7 +7,7 @@ from dnagraph import (BUDGET_EXCEEDED, ConstructionFailure, Digraph, InvalidPara
                       Labeling, ResourceLimitError, SAT, SearchConfig, UNSAT,
                       check_middle_vertex_lemma, explore_conjecture, find_full_violation,
                       find_labeling, find_quasi_violation, label_chorded_cycle,
-                      make_chorded_cycle, make_dicycle, make_ladder, search)
+                      make_chorded_cycle, make_dicycle, make_dipath, make_ladder, search)
 from dnagraph.labeling import _decode
 
 
@@ -152,6 +152,12 @@ class TestFindLabeling:
                 codes = search._canonical_first_labels(alpha, k)
                 assert ([_decode(code, alpha, k) for code in codes]
                         == canonical_first_labels_reference(alpha, k)), (alpha, k)
+
+    def test_canonical_first_labels_are_made_lazily(self):
+        # 4**40 / 24 canonical labels at k = 40: only the ones asked for are made
+        assert list(itertools.islice(search._canonical_first_labels(4, 40), 3)) == [0, 1, 4]
+        outcome = find_labeling(make_dipath(2), SearchConfig(4, 40, "quasi"))
+        assert (outcome.verdict, outcome.nodes_explored) == (SAT, 2)
 
     @pytest.mark.parametrize("mode", ["quasi", "full"])
     def test_corrupt_certificate_is_caught(self, corrupt_trusted_labelings, mode):
