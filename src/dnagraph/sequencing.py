@@ -38,8 +38,9 @@ def pevzner_arc_labels(d: Digraph, lab: Labeling) -> dict[tuple[str, str], str]:
     bad = find_quasi_violation(d, lab)
     if bad is not None:
         raise InvalidInputError(f"arc labels need a quasi-valid labeling: {bad}")
+    labels = lab.assignment
     return {
-        (tail, head): nucleotide_string(overlap_merge(lab.label_of(tail), lab.label_of(head)))
+        (tail, head): nucleotide_string(overlap_merge(labels[tail], labels[head]))
         for tail, head in d.arcs
     }
 
