@@ -154,7 +154,7 @@ class TestFindLabeling:
                         == canonical_first_labels_reference(alpha, k)), (alpha, k)
 
     def test_canonical_first_labels_are_made_lazily(self):
-        # 4**40 / 24 canonical labels at k = 40: only the ones asked for are made
+        # about 4**40 / 24 canonical labels at k = 40: only the ones asked for are made
         assert list(itertools.islice(search._canonical_first_labels(4, 40), 3)) == [0, 1, 4]
         outcome = find_labeling(make_dipath(2), SearchConfig(4, 40, "quasi"))
         assert (outcome.verdict, outcome.nodes_explored) == (SAT, 2)
