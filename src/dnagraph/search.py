@@ -12,6 +12,7 @@ such as the squares of a ladder close, and get refuted, as early as possible.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -60,19 +61,26 @@ def _vertex_order(d: Digraph) -> list[str]:
     """Decision order: start at the first vertex of maximum out-degree, then
     take the undecided vertex with the most decided in- and out-neighbors,
     ties going to the vertex whose count rose last, then to vertex order."""
-    weight = dict.fromkeys(d.vertices, 0)  # undecided vertices, in vertex order
-    touched = dict.fromkeys(d.vertices, -1)
-    v = max(d.vertices, key=d.out_degree)
+    n = d.vertex_count
+    near: list[list[int]] = [[] for _ in range(n)]  # in- and out-neighbours, by index
+    for t, h in zip(d._tail, d._head):
+        near[t].append(h)
+        near[h].append(t)
+    # an undecided vertex scores weight * (n + 1) + the 1-based step of its
+    # last rise (0 before any), so one integer orders (weight, last rise);
+    # score keeps the undecided vertices in vertex order
+    base = n + 1
+    score = dict.fromkeys(range(n), 0)
+    v = max(range(n), key=d._tail.count)
     order: list[str] = []
-    for step in range(d.vertex_count):
-        if step:
-            v = max(weight, key=lambda u: (weight[u], touched[u]))  # first of equals wins
-        order.append(v)
-        del weight[v]
-        for w in (*d.out_neighbors(v), *d.in_neighbors(v)):
-            if w in weight:
-                weight[w] += 1
-                touched[w] = step
+    for step in range(1, base):
+        order.append(d.vertices[v])
+        del score[v]
+        for w in near[v]:
+            if w in score:
+                score[w] = (score[w] // base + 1) * base + step
+        if score:
+            v = max(score, key=score.__getitem__)  # first of equals wins
     return order
 
 
@@ -82,17 +90,18 @@ def _canonical_first_labels(alpha: int, k: int) -> Iterator[int]:
 
     Labelings are closed under alphabet permutation, so restricting the
     first decided vertex to these patterns divides the tree by up to
-    alpha! without losing completeness.
+    alpha! without losing completeness.  k >= 2, as SearchConfig requires.
     """
-    def extend(code: int, used: int, left: int) -> Iterator[int]:
-        # code holds the symbols made so far, used of them distinct; left more to come
-        if not left:
-            yield code
-            return
-        for z in range(min(alpha, used + 1)):
-            yield from extend(code * alpha + z, max(used, z + 1), left - 1)
-
-    return extend(0, 1, k - 1)
+    # each entry: the code of the symbols made so far, how many of them are
+    # distinct, and how many more to come; the smallest next symbol is on top
+    stack = [(0, 1, k - 1)]
+    while stack:
+        code, used, left = stack.pop()
+        top = min(alpha, used + 1)
+        if left == 1:
+            yield from range(code * alpha, code * alpha + top)
+        else:
+            stack += [(code * alpha + z, max(used, z + 1), left - 1) for z in range(top - 1, -1, -1)]
 
 
 def find_labeling(d: Digraph, cfg: SearchConfig) -> SearchOutcome:
@@ -107,29 +116,46 @@ def find_labeling(d: Digraph, cfg: SearchConfig) -> SearchOutcome:
     if d.vertex_count == 0:
         return SearchOutcome(SAT, Labeling(cfg.alpha, cfg.k, {}), 0)
     order = _vertex_order(d)
+    n = len(order)
     alpha, k, full = cfg.alpha, cfg.k, cfg.mode == "full"
     window = alpha ** (k - 1)  # labels are codes: prefix c // alpha, suffix c % window
-    assigned: dict[str, int] = {}
-    owner: dict[int, str] = {}  # the decided vertex that carries each label in use
+    # vertices are named by decision position: at depth i, the decided
+    # vertices are exactly positions 0..i-1
+    rank = dict(zip(order, range(n)))
+    at = [rank[v] for v in d.vertices]
+    into: list[list[int]] = [[] for _ in range(n)]  # earlier positions with an arc into i
+    out_of: list[list[int]] = [[] for _ in range(n)]  # earlier positions i has an arc into
+    loop = [False] * n
+    for t, h in zip(d._tail, d._head):
+        t, h = at[t], at[h]
+        if t < h:
+            into[h].append(t)
+        elif h < t:
+            out_of[t].append(h)
+        else:
+            loop[t] = True
+    labels = [0] * n
+    used: set[int] = set()
+    # how many decided labels have each (k-1)-window as suffix, and as prefix
+    suffix_count: defaultdict[int, int] = defaultdict(int)
+    prefix_count: defaultdict[int, int] = defaultdict(int)
     nodes = 0
 
-    def candidates(v: str, first: bool):
-        # every decided in-neighbour's suffix pins the prefix of v, and every
+    def candidates(i: int):
+        # every decided in-neighbour's suffix pins the prefix of i, and every
         # decided out-neighbour's prefix pins its suffix
         prefix = None
-        for u in d.in_neighbors(v):
-            if u in assigned:
-                if prefix is None:
-                    prefix = assigned[u] % window
-                elif prefix != assigned[u] % window:
-                    return ()
+        for j in into[i]:
+            if prefix is None:
+                prefix = labels[j] % window
+            elif prefix != labels[j] % window:
+                return ()
         suffix = None
-        for w in d.out_neighbors(v):
-            if w in assigned:
-                if suffix is None:
-                    suffix = assigned[w] // alpha
-                elif suffix != assigned[w] // alpha:
-                    return ()
+        for j in out_of[i]:
+            if suffix is None:
+                suffix = labels[j] // alpha
+            elif suffix != labels[j] // alpha:
+                return ()
         if prefix is not None and suffix is not None:
             cand = prefix * alpha + suffix % alpha
             return (cand,) if cand % window == suffix else ()
@@ -137,47 +163,39 @@ def find_labeling(d: Digraph, cfg: SearchConfig) -> SearchOutcome:
             return range(prefix * alpha, prefix * alpha + alpha)
         if suffix is not None:
             return range(suffix, alpha * window, window)
-        if first:
+        if i == 0:
             return _canonical_first_labels(alpha, k)
         return range(alpha * window)
 
-    def admissible(v: str, lab: int, loop: bool) -> bool:
-        if lab in owner:
-            return False
-        prefix, suffix = lab // alpha, lab % window
-        if not full:
-            return not loop or prefix == suffix
-        if loop != (prefix == suffix):
-            return False
-        # a decided x overlaps into v iff it carries (z,) + prefix, and v
-        # overlaps into a decided y iff y carries suffix + (z,)
-        for z in range(alpha):
-            x = owner.get(z * window + prefix)
-            if x is not None and not d.has_arc(x, v):
-                return False
-            y = owner.get(suffix * alpha + z)
-            if y is not None and not d.has_arc(v, y):
-                return False
-        return True
-
     def extend(i: int) -> bool:
         nonlocal nodes
-        if i == len(order):
+        if i == n:
             return True
-        v = order[i]
-        loop = d.has_arc(v, v)
-        for lab in candidates(v, i == 0):
-            if not admissible(v, lab, loop):
+        loop_i, n_into, n_out_of = loop[i], len(into[i]), len(out_of[i])
+        for lab in candidates(i):
+            if lab in used:
+                continue
+            prefix, suffix = lab // alpha, lab % window
+            if full:
+                # the candidates already overlap every decided neighbour, so
+                # no other decided label overlaps lab iff the counts match
+                if (loop_i != (prefix == suffix) or suffix_count[prefix] != n_into
+                        or prefix_count[suffix] != n_out_of):
+                    continue
+            elif loop_i and prefix != suffix:
                 continue
             if nodes >= cfg.node_budget:
                 raise _BudgetExhausted
             nodes += 1
-            assigned[v] = lab
-            owner[lab] = v
+            labels[i] = lab
+            used.add(lab)
+            suffix_count[suffix] += 1
+            prefix_count[prefix] += 1
             if extend(i + 1):
                 return True
-            del assigned[v]
-            del owner[lab]
+            used.remove(lab)
+            suffix_count[suffix] -= 1
+            prefix_count[prefix] -= 1
         return False
 
     try:
@@ -186,7 +204,7 @@ def find_labeling(d: Digraph, cfg: SearchConfig) -> SearchOutcome:
         return SearchOutcome(BUDGET_EXCEEDED, None, nodes)
     if not found:
         return SearchOutcome(UNSAT, None, nodes)
-    certificate = Labeling._trusted(alpha, k, dict(assigned))
+    certificate = Labeling._trusted(alpha, k, dict(zip(order, labels)))
     check = find_full_violation if full else find_quasi_violation
     bad = check(d, certificate)
     if bad is not None:

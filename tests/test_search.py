@@ -6,8 +6,9 @@ import pytest
 from dnagraph import (BUDGET_EXCEEDED, ConstructionFailure, Digraph, InvalidParameterError,
                       Labeling, ResourceLimitError, SAT, SearchConfig, UNSAT,
                       check_middle_vertex_lemma, explore_conjecture, find_full_violation,
-                      find_labeling, find_quasi_violation, label_chorded_cycle,
-                      make_chorded_cycle, make_dicycle, make_dipath, make_ladder, search)
+                      find_labeling, find_quasi_violation, format_digraph_text,
+                      label_chorded_cycle, make_chorded_cycle, make_dicycle, make_dipath,
+                      make_ladder, parse_digraph_text, search)
 from dnagraph.labeling import _decode
 
 
@@ -56,6 +57,118 @@ def canonical_first_labels_reference(alpha, k):
 
     rec([1], 1)
     return out
+
+
+def reference_vertex_order(d):
+    """The decision order read through the digraph's name views: a dict of
+    weights and a dict of last rises, compared as pairs."""
+    weight = dict.fromkeys(d.vertices, 0)  # undecided vertices, in vertex order
+    touched = dict.fromkeys(d.vertices, -1)
+    v = max(d.vertices, key=d.out_degree)
+    order = []
+    for step in range(d.vertex_count):
+        if step:
+            v = max(weight, key=lambda u: (weight[u], touched[u]))  # first of equals wins
+        order.append(v)
+        del weight[v]
+        for w in (*d.out_neighbors(v), *d.in_neighbors(v)):
+            if w in weight:
+                weight[w] += 1
+                touched[w] = step
+    return order
+
+
+def reference_find_labeling(d, cfg):
+    """The search over vertex names: decided labels in a name -> code dict,
+    the label -> vertex map of the labels in use, and, in full mode, one
+    has_arc call for every decided vertex whose label overlaps a candidate."""
+    order = reference_vertex_order(d)
+    alpha, k, full = cfg.alpha, cfg.k, cfg.mode == "full"
+    window = alpha ** (k - 1)
+    first_labels = [int("".join(str(s - 1) for s in lab), alpha)
+                    for lab in canonical_first_labels_reference(alpha, k)]
+    assigned = {}
+    owner = {}
+    nodes = 0
+
+    def candidates(v, first):
+        prefix = None
+        for u in d.in_neighbors(v):
+            if u in assigned:
+                if prefix is None:
+                    prefix = assigned[u] % window
+                elif prefix != assigned[u] % window:
+                    return ()
+        suffix = None
+        for w in d.out_neighbors(v):
+            if w in assigned:
+                if suffix is None:
+                    suffix = assigned[w] // alpha
+                elif suffix != assigned[w] // alpha:
+                    return ()
+        if prefix is not None and suffix is not None:
+            cand = prefix * alpha + suffix % alpha
+            return (cand,) if cand % window == suffix else ()
+        if prefix is not None:
+            return range(prefix * alpha, prefix * alpha + alpha)
+        if suffix is not None:
+            return range(suffix, alpha * window, window)
+        if first:
+            return first_labels
+        return range(alpha * window)
+
+    def admissible(v, lab, loop):
+        if lab in owner:
+            return False
+        prefix, suffix = lab // alpha, lab % window
+        if not full:
+            return not loop or prefix == suffix
+        if loop != (prefix == suffix):
+            return False
+        for z in range(alpha):
+            x = owner.get(z * window + prefix)
+            if x is not None and not d.has_arc(x, v):
+                return False
+            y = owner.get(suffix * alpha + z)
+            if y is not None and not d.has_arc(v, y):
+                return False
+        return True
+
+    def extend(i):
+        nonlocal nodes
+        if i == len(order):
+            return True
+        v = order[i]
+        loop = d.has_arc(v, v)
+        for lab in candidates(v, i == 0):
+            if not admissible(v, lab, loop):
+                continue
+            if nodes >= cfg.node_budget:
+                raise OverflowError
+            nodes += 1
+            assigned[v] = lab
+            owner[lab] = v
+            if extend(i + 1):
+                return True
+            del assigned[v]
+            del owner[lab]
+        return False
+
+    try:
+        found = extend(0)
+    except OverflowError:
+        return BUDGET_EXCEEDED, nodes, None
+    return (SAT, nodes, list(assigned.items())) if found else (UNSAT, nodes, None)
+
+
+def random_digraph(rng, max_vertices):
+    """Up to max_vertices vertices, arcs drawn with one random density, so
+    loops, 2-cycles and isolated vertices all occur, in shuffled arc order."""
+    names = [f"v{i}" for i in range(rng.randint(1, max_vertices))]
+    density = rng.uniform(0.05, 0.6)
+    arcs = [(u, w) for u in names for w in names if rng.random() < density]
+    rng.shuffle(arcs)
+    return Digraph(names, arcs)
 
 
 class TestConfig:
@@ -145,6 +258,32 @@ class TestFindLabeling:
             verdicts[mode, got] += 1
         # both verdicts, in both modes, are well represented
         assert min(verdicts.values()) >= 40, verdicts
+
+    def test_matches_name_based_reference(self):
+        rng = random.Random(2026)
+        verdicts = dict.fromkeys(itertools.product(("quasi", "full"), (SAT, UNSAT, BUDGET_EXCEEDED)), 0)
+        for _ in range(2000):
+            d = random_digraph(rng, 9)
+            cfg = SearchConfig(rng.randint(2, 4), rng.randint(2, 4), rng.choice(("quasi", "full")),
+                               rng.choice((1, 3, 10, 30, 100, 300)))
+            out = find_labeling(d, cfg)
+            got = (out.verdict, out.nodes_explored,
+                   None if out.certificate is None else list(out.certificate.codes.items()))
+            assert got == reference_find_labeling(d, cfg), (d.arcs, cfg)
+            verdicts[cfg.mode, out.verdict] += 1
+        assert min(verdicts.values()) >= 40, verdicts
+
+    def test_vertex_order_matches_name_based_reference(self):
+        rng = random.Random(14)
+        for _ in range(2000):
+            d = random_digraph(rng, 14)
+            assert search._vertex_order(d) == reference_vertex_order(d), d.arcs
+
+    @pytest.mark.parametrize("mode", ["quasi", "full"])
+    def test_search_reads_no_name_view(self, mode):
+        d = parse_digraph_text(format_digraph_text(make_ladder(3)))
+        assert find_labeling(d, SearchConfig(3, 4, mode)).verdict == SAT
+        assert not {"arcs", "_vset", "_arcset", "_adjacency"} & set(vars(d))
 
     def test_canonical_first_labels_match_reference(self):
         for alpha in range(2, 7):
