@@ -8,6 +8,12 @@ order (Tarjan & Yannakakis, SIAM J. Comput. 1984): the next vertex is the
 undecided one with the most decided in- and out-neighbors, so a new vertex
 usually has its prefix and suffix pinned by decided labels and short cycles
 such as the squares of a ladder close, and get refuted, as early as possible.
+The search names each vertex by its decision position, so the decided
+vertices at depth i are positions 0..i-1 and every neighbour test is a
+precomputed list of earlier positions.  Full mode admits a candidate by
+counting: no other decided label overlaps it iff the decided labels with
+its prefix as suffix, and with its suffix as prefix, are exactly as many
+as its decided in- and out-neighbours.
 """
 
 from __future__ import annotations
@@ -101,7 +107,7 @@ def _canonical_first_labels(alpha: int, k: int) -> Iterator[int]:
         if left == 1:
             yield from range(code * alpha, code * alpha + top)
         else:
-            stack += [(code * alpha + z, max(used, z + 1), left - 1) for z in range(top - 1, -1, -1)]
+            stack += [(code * alpha + z, max(used, z + 1), left - 1) for z in reversed(range(top))]
 
 
 def find_labeling(d: Digraph, cfg: SearchConfig) -> SearchOutcome:

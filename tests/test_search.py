@@ -78,6 +78,10 @@ def reference_vertex_order(d):
     return order
 
 
+class BudgetHit(Exception):
+    pass
+
+
 def reference_find_labeling(d, cfg):
     """The search over vertex names: decided labels in a name -> code dict,
     the label -> vertex map of the labels in use, and, in full mode, one
@@ -144,7 +148,7 @@ def reference_find_labeling(d, cfg):
             if not admissible(v, lab, loop):
                 continue
             if nodes >= cfg.node_budget:
-                raise OverflowError
+                raise BudgetHit
             nodes += 1
             assigned[v] = lab
             owner[lab] = v
@@ -156,7 +160,7 @@ def reference_find_labeling(d, cfg):
 
     try:
         found = extend(0)
-    except OverflowError:
+    except BudgetHit:
         return BUDGET_EXCEEDED, nodes, None
     return (SAT, nodes, list(assigned.items())) if found else (UNSAT, nodes, None)
 
@@ -261,7 +265,8 @@ class TestFindLabeling:
 
     def test_matches_name_based_reference(self):
         rng = random.Random(2026)
-        verdicts = dict.fromkeys(itertools.product(("quasi", "full"), (SAT, UNSAT, BUDGET_EXCEEDED)), 0)
+        verdicts = dict.fromkeys(
+            itertools.product(("quasi", "full"), (SAT, UNSAT, BUDGET_EXCEEDED)), 0)
         for _ in range(2000):
             d = random_digraph(rng, 9)
             cfg = SearchConfig(rng.randint(2, 4), rng.randint(2, 4), rng.choice(("quasi", "full")),
