@@ -10,6 +10,7 @@ code so the checks stay two-sided.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,6 +62,12 @@ LADDER5_LABELS = {"t0": (2, 1, 3, 1), "t1": (1, 3, 1, 2), "t2": (3, 1, 2, 3),
                   "b3": (2, 3, 3, 1), "b4": (2, 2, 3, 3)}
 
 
+def _check(ok: bool, *diagnosis) -> None:
+    """Raise AssertionError(*diagnosis) unless ok; unlike assert, it runs under -O."""
+    if not ok:
+        raise AssertionError(*diagnosis)
+
+
 def _row_string(result) -> str:
     n = sum(1 for v in result.digraph.vertices if v.startswith("v"))
     return ",".join(format_label(result.labeling.label_of(f"v{i}")) for i in range(1, n + 1))
@@ -74,9 +81,9 @@ def criterion_chorded_rows() -> str:
     """Chorded-cycle labelings match the catalogue rows and are quasi-(4,3)."""
     for n in range(6, 15):
         res = label_chorded_cycle(n)
-        assert _row_string(res) == EXPECTED_CHORDED_ROWS[n], f"row mismatch at n={n}"
-        assert res.labeling.alpha == 4 and res.labeling.k == 3
-        assert find_quasi_violation(res.digraph, res.labeling) is None, f"quasi fails at n={n}"
+        _check(_row_string(res) == EXPECTED_CHORDED_ROWS[n], f"row mismatch at n={n}")
+        _check(res.labeling.alpha == 4 and res.labeling.k == 3)
+        _check(find_quasi_violation(res.digraph, res.labeling) is None, f"quasi fails at n={n}")
     return "9 rows exact, all quasi-(4,3)"
 
 
@@ -85,9 +92,9 @@ def criterion_chorded_lift() -> str:
     for n in range(6, 15):
         res = label_chorded_cycle(n)
         lifted, lifted_lab = lift_once(res.digraph, res.labeling)
-        assert find_full_violation(lifted, lifted_lab) is None, f"full fails after lift at n={n}"
+        _check(find_full_violation(lifted, lifted_lab) is None, f"full fails after lift at n={n}")
         if n == 12:
-            assert lifted.vertex_count == 16, lifted.vertex_count
+            _check(lifted.vertex_count == 16, lifted.vertex_count)
     return "9 lifts full; n=12 lift has 16 vertices"
 
 
@@ -95,10 +102,10 @@ def criterion_chorded_triple_lift() -> str:
     """Three lifts of the n=12 fixture certify a DNA graph with k=6, growing each step."""
     res = label_chorded_cycle(12)
     out = lift_m(res.digraph, res.labeling, 3)
-    assert out.result_labeling.k == 6, out.result_labeling.k
-    assert find_dna_violation(out.result_digraph, out.result_labeling) is None
+    _check(out.result_labeling.k == 6, out.result_labeling.k)
+    _check(find_dna_violation(out.result_digraph, out.result_labeling) is None)
     counts = out.vertex_counts
-    assert all(a < b for a, b in zip(counts, counts[1:])), counts
+    _check(all(a < b for a, b in zip(counts, counts[1:])), counts)
     return f"vertex counts {counts}, k=6, certified"
 
 
@@ -109,10 +116,10 @@ def criterion_infinity_even() -> str:
         k = n // 2 + 1
         for p in range(n, 5 * n // 2 + 4):
             res = label_infinity_even(n, p)
-            assert res.labeling.k == k, (n, p)
-            assert find_quasi_violation(res.digraph, res.labeling) is None, (n, p)
-            assert res.labeling.label_of("v2") == (1,) * (k - 1) + (2,), (n, p)
-            assert res.digraph.vertex_count == n + p - 1
+            _check(res.labeling.k == k, (n, p))
+            _check(find_quasi_violation(res.digraph, res.labeling) is None, (n, p))
+            _check(res.labeling.label_of("v2") == (1,) * (k - 1) + (2,), (n, p))
+            _check(res.digraph.vertex_count == n + p - 1)
             checked += 1
     return f"{checked} (n, p) pairs verified"
 
@@ -124,9 +131,9 @@ def criterion_infinity_odd() -> str:
         k = (n + 1) // 2 + 1
         for p in range(n, 5 * ((n + 1) // 2) + 4):
             res = label_infinity_odd(n, p)
-            assert res.labeling.k == k, (n, p)
-            assert find_quasi_violation(res.digraph, res.labeling) is None, (n, p)
-            assert res.labeling.label_of("v2") == (1,) * (k - 1) + (2,), (n, p)
+            _check(res.labeling.k == k, (n, p))
+            _check(find_quasi_violation(res.digraph, res.labeling) is None, (n, p))
+            _check(res.labeling.label_of("v2") == (1,) * (k - 1) + (2,), (n, p))
             checked += 1
     return f"{checked} (n, p) pairs verified"
 
@@ -135,9 +142,9 @@ def criterion_infinity_c3() -> str:
     """Triangle gluings: quasi for p in 4..13 and DNA-certified after one lift."""
     for p in range(4, 14):
         res = label_infinity_c3(p)
-        assert find_quasi_violation(res.digraph, res.labeling) is None, p
+        _check(find_quasi_violation(res.digraph, res.labeling) is None, p)
         lifted, lifted_lab = lift_once(res.digraph, res.labeling)
-        assert find_dna_violation(lifted, lifted_lab) is None, p
+        _check(find_dna_violation(lifted, lifted_lab) is None, p)
     return "10 values of p verified and lift-certified"
 
 
@@ -145,12 +152,12 @@ def criterion_double_cycle() -> str:
     """Double cycles: quasi-(3, ceil(n/2)) for n in 3..15; n=3 equals the seed labels."""
     for n in range(3, 16):
         res = label_double_cycle(n)
-        assert res.labeling.alpha == 3 and res.labeling.k == (n + 1) // 2, n
-        assert find_quasi_violation(res.digraph, res.labeling) is None, n
+        _check(res.labeling.alpha == 3 and res.labeling.k == (n + 1) // 2, n)
+        _check(find_quasi_violation(res.digraph, res.labeling) is None, n)
     res3 = label_double_cycle(3)
     lab = res3.labeling
-    assert [lab.label_of(v) for v in ("v1", "v2", "v3")] == [(1, 1), (1, 2), (2, 1)]
-    assert [lab.label_of(v) for v in ("u1", "v2", "u3")] == [(3, 1), (1, 2), (2, 3)]
+    _check([lab.label_of(v) for v in ("v1", "v2", "v3")] == [(1, 1), (1, 2), (2, 1)])
+    _check([lab.label_of(v) for v in ("u1", "v2", "u3")] == [(3, 1), (1, 2), (2, 3)])
     return "n in 3..15 verified, n=3 labels exact"
 
 
@@ -159,18 +166,18 @@ def criterion_windmill_propeller() -> str:
     golden mixed propellers match their label sets exactly."""
     for n in range(3, 16):
         res = label_windmill(n)
-        assert res.labeling.alpha == 4 and res.labeling.k == (n + 1) // 2, n
-        assert find_quasi_violation(res.digraph, res.labeling) is None, n
+        _check(res.labeling.alpha == 4 and res.labeling.k == (n + 1) // 2, n)
+        _check(find_quasi_violation(res.digraph, res.labeling) is None, n)
     combos = 0
     for n in range(4, 10):
         for p in (n, n + 1, n + 2):
             for q in (n, n + 1, n + 2):
                 res = label_propeller(n, p, q)
-                assert find_quasi_violation(res.digraph, res.labeling) is None, (n, p, q)
-                assert res.labeling.k in ((n + 1) // 2, (n + 1) // 2 + 1), (n, p, q)
+                _check(find_quasi_violation(res.digraph, res.labeling) is None, (n, p, q))
+                _check(res.labeling.k in ((n + 1) // 2, (n + 1) // 2 + 1), (n, p, q))
                 combos += 1
-    assert _label_set(label_propeller(5, 5, 6).labeling) == GOLDEN_PROPELLER_556
-    assert _label_set(label_propeller(5, 6, 7).labeling) == GOLDEN_PROPELLER_567
+    _check(_label_set(label_propeller(5, 5, 6).labeling) == GOLDEN_PROPELLER_556)
+    _check(_label_set(label_propeller(5, 6, 7).labeling) == GOLDEN_PROPELLER_567)
     return f"13 windmills and {combos} propellers verified, both golden sets exact"
 
 
@@ -178,20 +185,20 @@ def criterion_small_chain() -> str:
     """The C4.C5 chain reproduces the golden base, first-lift, and
     second-lift label sets, with both lifts full."""
     res = label_infinity_even(4, 5)
-    assert _label_set(res.labeling) == GOLDEN_C4C5
+    _check(_label_set(res.labeling) == GOLDEN_C4C5)
     one = lift_m(res.digraph, res.labeling, 1)
-    assert _label_set(one.result_labeling) == GOLDEN_LIFT1_C4C5
-    assert find_full_violation(one.result_digraph, one.result_labeling) is None
+    _check(_label_set(one.result_labeling) == GOLDEN_LIFT1_C4C5)
+    _check(find_full_violation(one.result_digraph, one.result_labeling) is None)
     two = lift_m(res.digraph, res.labeling, 2)
-    assert _label_set(two.result_labeling) == GOLDEN_LIFT2_C4C5
-    assert find_full_violation(two.result_digraph, two.result_labeling) is None
+    _check(_label_set(two.result_labeling) == GOLDEN_LIFT2_C4C5)
+    _check(find_full_violation(two.result_digraph, two.result_labeling) is None)
     return f"base 8, lift 9, double lift {two.result_digraph.vertex_count} labels, all exact"
 
 
 def criterion_ladder_iso() -> str:
     """The lift of the glued square pair is the 2x4 ladder."""
     lifted = line_digraph(make_infinity(4, 4))
-    assert isomorphic(lifted, make_ladder(4))
+    _check(isomorphic(lifted, make_ladder(4)))
     return "line digraph of C4.C4 is the 2x4 ladder"
 
 
@@ -201,11 +208,11 @@ def criterion_ladder_fixtures() -> str:
     for n, fixture in ((3, LADDER3_LABELS), (5, LADDER5_LABELS)):
         ladder = make_ladder(n)
         lab = Labeling(3, 4, dict(fixture))
-        assert find_full_violation(ladder, lab) is None, n
+        _check(find_full_violation(ladder, lab) is None, n)
     rows = explore_conjecture(range(2, 7))
     for n in range(2, 7):
         row = next(r for r in rows if r.n == n and r.alpha == 3 and r.k == 4)
-        assert row.verdict == SAT, row
+        _check(row.verdict == SAT, row)
     return "fixtures full, explorer SAT for n in 2..6 at (3,4)"
 
 
@@ -214,11 +221,11 @@ def criterion_negative_bound() -> str:
     small positive certificates satisfy the constant-middle-vertex fact."""
     cfg = SearchConfig(4, 3, "quasi")
     outcome = find_labeling(make_chorded_cycle(15), cfg)
-    assert outcome.verdict == UNSAT, outcome.verdict
+    _check(outcome.verdict == UNSAT, outcome.verdict)
     for n in range(6, 10):
         sat = find_labeling(make_chorded_cycle(n), cfg)
-        assert sat.verdict == SAT, (n, sat.verdict)
-        assert check_middle_vertex_lemma(make_chorded_cycle(n), sat.certificate), n
+        _check(sat.verdict == SAT, (n, sat.verdict))
+        _check(check_middle_vertex_lemma(make_chorded_cycle(n), sat.certificate), n)
     return f"n=15 UNSAT after {outcome.nodes_explored} nodes; lemma holds on n=6..9 certificates"
 
 
@@ -251,7 +258,7 @@ def criterion_oracle_agreement() -> str:
             continue
         cfg = SearchConfig(res.labeling.alpha, res.labeling.k, "quasi")
         outcome = find_labeling(res.digraph, cfg)
-        assert outcome.verdict == SAT, (res.tag, res.digraph.vertex_count, outcome.verdict)
+        _check(outcome.verdict == SAT, (res.tag, res.digraph.vertex_count, outcome.verdict))
         ran += 1
     return f"{ran} fixtures re-derived SAT by the oracle"
 
@@ -261,18 +268,18 @@ def criterion_sbh_pipeline() -> str:
     views are line-digraph related."""
     d, lab = sample_pevzner_graph()
     path = eulerian_path(d, start="TA")
-    assert path is not None
-    assert spell_eulerian(lab, path) == "TACGACTA"
+    _check(path is not None)
+    _check(spell_eulerian(lab, path) == "TACGACTA")
     spectrum = hamiltonian_via_line(pevzner_arc_labels(d, lab), path)
-    assert spectrum.sequence == "TACGACTA"
+    _check(spectrum.sequence == "TACGACTA")
     lysov = line_digraph(d)
-    assert sorted(spectrum.source_path) == sorted(lysov.vertices)
+    _check(sorted(spectrum.source_path) == sorted(lysov.vertices))
     expected_lysov = Digraph(
         ["TAC", "ACG", "ACT", "CGA", "GAC", "CTA"],
         [("TAC", "ACG"), ("TAC", "ACT"), ("ACG", "CGA"), ("CGA", "GAC"),
          ("GAC", "ACT"), ("GAC", "ACG"), ("ACT", "CTA"), ("CTA", "TAC")],
     )
-    assert isomorphic(lysov, expected_lysov)
+    _check(isomorphic(lysov, expected_lysov))
     return "both paths spell TACGACTA; views are line-digraph related"
 
 
@@ -307,23 +314,25 @@ def criterion_structural_properties() -> str:
     for _ in range(cases):
         d = _random_digraph(rng)
         ld = line_digraph(d)
-        assert ld.vertex_count == d.arc_count
-        assert ld.arc_count == sum(d.in_degree(v) * d.out_degree(v) for v in d.vertices)
+        _check(ld.vertex_count == d.arc_count)
+        # degrees from the name pairs, independent of the index lists line_digraph reads
+        outs, ins = Counter(t for t, _ in d.arcs), Counter(h for _, h in d.arcs)
+        _check(ld.arc_count == sum(ins[v] * outs[v] for v in d.vertices))
 
         d2, lab = _random_quasi_instance(rng)
-        assert find_quasi_violation(d2, lab) is None
+        _check(find_quasi_violation(d2, lab) is None)
         perm = list(range(1, lab.alpha + 1))
         rng.shuffle(perm)
         mapping = {i + 1: perm[i] for i in range(lab.alpha)}
-        assert find_quasi_violation(d2, lab.relabeled(mapping)) is None
+        _check(find_quasi_violation(d2, lab.relabeled(mapping)) is None)
         if d2.arc_count == 0:
             continue
         lifted, lifted_lab = lift_once(d2, lab)
-        assert lifted_lab.k == lab.k + 1
+        _check(lifted_lab.k == lab.k + 1)
         for tail, head in d2.arcs:
             got = lifted_lab.label_of(_walk_join(tail, head))
-            assert got[:lab.k] == lab.label_of(tail)
-            assert got[-lab.k:] == lab.label_of(head)
+            _check(got[:lab.k] == lab.label_of(tail))
+            _check(got[-lab.k:] == lab.label_of(head))
     return f"{cases} randomized cases, zero failures"
 
 

@@ -120,7 +120,7 @@ def _cmd_sequence(args, out) -> int:
         if not (args.digraph and args.labeling):
             raise InvalidParameterError("sequence needs --demo or both --digraph and --labeling")
         d, lab = _load_pair(args)
-    if args.start is not None and not d.has_vertex(args.start):
+    if args.start is not None and args.start not in d.vertices:
         raise InvalidParameterError(f"start vertex {args.start} is not in the digraph")
     # both raise on bad input, so they run before anything is written
     names = to_nucleotides(lab)
@@ -149,7 +149,7 @@ def _cmd_sequence(args, out) -> int:
 
 
 def _cmd_conjecture(args, out) -> int:
-    rows = explore_conjecture(range(args.n_min, args.n_max + 1), node_budget=args.budget)
+    rows = explore_conjecture(range(args.n_min, args.n_max + 1))
     out.write(f"{'n':>3} {'alpha':>5} {'k':>3} {'verdict':<15} {'nodes':>10}\n")
     for row in rows:
         out.write(f"{row.n:>3} {row.alpha:>5} {row.k:>3} {row.verdict:<15} {row.nodes:>10}\n")
@@ -225,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     con = sub.add_parser("conjecture", help="settle ladders for full labelings")
     con.add_argument("--n-min", type=int, default=2)
     con.add_argument("--n-max", type=int, default=6)
-    con.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     con.set_defaults(func=_cmd_conjecture)
 
     acc = sub.add_parser("acceptance", help="run the acceptance suite")

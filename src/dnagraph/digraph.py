@@ -11,8 +11,7 @@ exports, searches, and golden tests deterministic.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Iterator
+from collections import Counter, defaultdict
 from functools import cached_property
 from itertools import chain, count, repeat
 from operator import add, mul
@@ -59,11 +58,10 @@ def _check_repeats(names: tuple[str, ...], tail: list[int], head: list[int]) -> 
 class Digraph:
     """Immutable digraph with ordered vertex set and ordered simple arc set.
 
-    The arcs are two index lists into the vertex tuple, arc i being
-    tail[i] -> head[i]: every constructor sets them, and line digraphs, both
-    text formats and the verifiers work on them.  Name pairs, the arc set,
-    the vertex set and adjacency are views, each a ``cached_property`` built
-    on first request.
+    The arcs are one store, two index lists into the vertex tuple, arc i
+    being tail[i] -> head[i]: every constructor sets them, and every
+    traversal works on them.  The one view is ``arcs``, the name pairs, a
+    ``cached_property`` built on first request.
     """
 
     def __init__(self, vertices, arcs):
@@ -96,24 +94,6 @@ class Digraph:
         names = self.vertices
         return tuple(zip(map(names.__getitem__, self._tail), map(names.__getitem__, self._head)))
 
-    @cached_property
-    def _vset(self) -> frozenset[str]:
-        return frozenset(self.vertices)
-
-    @cached_property
-    def _arcset(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.arcs)
-
-    @cached_property
-    def _adjacency(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
-        """(out-neighbours, in-neighbours) of every vertex, in arc order."""
-        out: dict[str, list[str]] = {v: [] for v in self.vertices}
-        inc: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for tail, head in self.arcs:
-            out[tail].append(head)
-            inc[head].append(tail)
-        return ({v: tuple(ns) for v, ns in out.items()}, {v: tuple(ns) for v, ns in inc.items()})
-
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
@@ -121,24 +101,6 @@ class Digraph:
     @property
     def arc_count(self) -> int:
         return len(self._tail)
-
-    def has_vertex(self, v: str) -> bool:
-        return v in self._vset
-
-    def has_arc(self, tail: str, head: str) -> bool:
-        return (tail, head) in self._arcset
-
-    def out_neighbors(self, v: str) -> tuple[str, ...]:
-        return self._adjacency[0][v]
-
-    def in_neighbors(self, v: str) -> tuple[str, ...]:
-        return self._adjacency[1][v]
-
-    def out_degree(self, v: str) -> int:
-        return len(self.out_neighbors(v))
-
-    def in_degree(self, v: str) -> int:
-        return len(self.in_neighbors(v))
 
     def __eq__(self, other):
         if not isinstance(other, Digraph):
@@ -152,6 +114,14 @@ class Digraph:
 
     def __repr__(self):
         return f"Digraph(|V|={self.vertex_count}, |A|={self.arc_count})"
+
+
+def _out_arcs(d: Digraph) -> list[list[int]]:
+    """The arcs leaving each vertex, by vertex index, in arc order."""
+    leaving: list[list[int]] = [[] for _ in d.vertices]
+    for arc, t in enumerate(d._tail):
+        leaving[t].append(arc)
+    return leaving
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +169,19 @@ def make_chorded_cycle(n: int) -> Digraph:
     return _glued_cycles(n, chords=[(i - 2, i) for i in range(3, n - n % 3 + 1, 3)])
 
 
-def middle_vertices(d: Digraph, tail: str, head: str) -> Iterator[str]:
-    """Vertices b, other than tail and head, on a directed 2-path tail -> b -> head."""
-    return (b for b in d.out_neighbors(tail) if b not in (tail, head) and d.has_arc(b, head))
+def middle_vertices(d: Digraph) -> list[list[int]]:
+    """For each arc t -> h, in arc order, the vertex indices b other than t
+    and h on a directed 2-path t -> b -> h, in the arc order of t -> b."""
+    tail, head = d._tail, d._head
+    arcs = set(zip(tail, head))
+    leaving = _out_arcs(d)
+    return [[b for b in map(head.__getitem__, leaving[t]) if b != t and b != h and (b, h) in arcs]
+            for t, h in zip(tail, head)]
 
 
 def chords_of(d: Digraph) -> tuple[tuple[str, str], ...]:
     """Arcs of d whose endpoints are joined by a directed 2-path (the chords)."""
-    return tuple(arc for arc in d.arcs if next(middle_vertices(d, *arc), None) is not None)
+    return tuple(arc for arc, middle in zip(d.arcs, middle_vertices(d)) if middle)
 
 
 def make_infinity(n: int, p: int) -> Digraph:
@@ -286,9 +261,7 @@ def line_digraph(d: Digraph) -> Digraph:
     if len(set(walks)) != len(walks):
         # only names holding WALK_SEP can make two walks read alike
         raise InvalidParameterError("duplicate vertex name in vertex set")
-    leaving: list[list[int]] = [[] for _ in names]
-    for arc, t in enumerate(tail):
-        leaving[t].append(arc)
+    leaving = _out_arcs(d)
     line_tail: list[int] = []
     line_head: list[int] = []
     for arc, h in enumerate(head):
@@ -311,26 +284,29 @@ def isomorphic(a: Digraph, b: Digraph) -> bool:
     if a.vertex_count > ISO_SIZE_CAP or b.vertex_count > ISO_SIZE_CAP:
         raise ResourceLimitError(f"isomorphism check capped at {ISO_SIZE_CAP} vertices")
 
-    def degrees(g, v):
-        return (g.out_degree(v), g.in_degree(v))
+    def degrees(g: Digraph) -> list[tuple[int, int]]:
+        out, into = Counter(g._tail), Counter(g._head)
+        return [(out[v], into[v]) for v in range(g.vertex_count)]
 
-    if sorted(degrees(a, v) for v in a.vertices) != sorted(degrees(b, v) for v in b.vertices):
+    a_degrees, b_degrees = degrees(a), degrees(b)
+    if sorted(a_degrees) != sorted(b_degrees):
         return False
+    a_arcs, b_arcs = set(zip(a._tail, a._head)), set(zip(b._tail, b._head))
 
     # high-degree vertices first so contradictions surface early; ties keep vertex order
-    order = sorted(a.vertices, key=lambda v: -(a.out_degree(v) + a.in_degree(v)))
-    mapping: dict[str, str] = {}
+    order = sorted(range(a.vertex_count), key=lambda v: -sum(a_degrees[v]))
+    mapping: dict[int, int] = {}
 
     def extend(i: int) -> bool:
         if i == len(order):
             return True
         v = order[i]
-        want = (degrees(a, v), a.has_arc(v, v))
-        for w in b.vertices:
-            if w in mapping.values() or (degrees(b, w), b.has_arc(w, w)) != want:
+        want = (a_degrees[v], (v, v) in a_arcs)
+        for w in range(b.vertex_count):
+            if w in mapping.values() or (b_degrees[w], (w, w) in b_arcs) != want:
                 continue
-            if all(a.has_arc(v, u) == b.has_arc(w, x) and a.has_arc(u, v) == b.has_arc(x, w)
-                   for u, x in mapping.items()):
+            if all(((v, u) in a_arcs) == ((w, x) in b_arcs)
+                   and ((u, v) in a_arcs) == ((x, w) in b_arcs) for u, x in mapping.items()):
                 mapping[v] = w
                 if extend(i + 1):
                     return True

@@ -160,13 +160,14 @@ def find_full_violation(d: Digraph, lab: Labeling) -> str | None:
     prefix_count = Counter(prefix)
     if sum(map(prefix_count.get, suffix, repeat(0))) == d.arc_count:
         return None
-    by_prefix: dict[int, list[str]] = {}
-    for v, p in zip(d.vertices, prefix):
+    by_prefix: dict[int, list[int]] = {}
+    for v, p in enumerate(prefix):
         by_prefix.setdefault(p, []).append(v)
-    x, y, s = next((x, y, s) for x, s in zip(d.vertices, suffix)
-                   for y in by_prefix.get(s, ()) if not d.has_arc(x, y))
+    arcs = set(zip(d._tail, d._head))
+    x, y, s = next((x, y, s) for x, s in enumerate(suffix)
+                   for y in by_prefix.get(s, ()) if (x, y) not in arcs)
     window = format_label(_decode(s, lab.alpha, lab.k - 1))
-    return f"overlap pair {x}, {y} (shared window {window}) is not an arc"
+    return f"overlap pair {d.vertices[x]}, {d.vertices[y]} (shared window {window}) is not an arc"
 
 
 def find_dna_violation(d: Digraph, lab: Labeling) -> str | None:

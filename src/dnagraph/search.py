@@ -226,8 +226,9 @@ def check_middle_vertex_lemma(d: Digraph, lab: Labeling) -> bool:
     behind the impossibility bound for chorded cycles, checked here
     directly on a given labeling.
     """
-    return all(len(set(lab.label_of(mid))) == 1
-               for tail, head in d.arcs for mid in middle_vertices(d, tail, head))
+    names = d.vertices
+    return all(len(set(lab.label_of(names[mid]))) == 1
+               for middle in middle_vertices(d) for mid in middle)
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +244,16 @@ class ConjectureRow:
     nodes: int
 
 
-def explore_conjecture(n_values, node_budget: int = DEFAULT_NODE_BUDGET) -> list[ConjectureRow]:
+def explore_conjecture(n_values) -> list[ConjectureRow]:
     """Probe ladders P2 x Pn for full labelings at alpha in {3,4}, k = 4,
     falling back to k = 5 whenever k = 4 does not come back SAT."""
     rows: list[ConjectureRow] = []
     for n in n_values:
         ladder = make_ladder(n)
         for alpha in (3, 4):
-            outcome = find_labeling(ladder, SearchConfig(alpha, 4, "full", node_budget))
+            outcome = find_labeling(ladder, SearchConfig(alpha, 4, "full"))
             rows.append(ConjectureRow(n, alpha, 4, outcome.verdict, outcome.nodes_explored))
             if outcome.verdict != SAT:
-                outcome = find_labeling(ladder, SearchConfig(alpha, 5, "full", node_budget))
+                outcome = find_labeling(ladder, SearchConfig(alpha, 5, "full"))
                 rows.append(ConjectureRow(n, alpha, 5, outcome.verdict, outcome.nodes_explored))
     return rows

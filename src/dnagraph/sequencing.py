@@ -9,10 +9,10 @@ corresponding Hamiltonian path.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 
-from .digraph import Digraph, _walk_join
+from .digraph import Digraph, _out_arcs, _walk_join
 from .errors import InvalidInputError
 from .labeling import Label, Labeling, find_quasi_violation, overlap_merge
 
@@ -57,43 +57,41 @@ def eulerian_path(d: Digraph, start: str | None = None) -> tuple[tuple[str, str]
     the degree imbalance forces a start vertex, a conflicting explicit
     start returns None rather than a path from somewhere else.
     """
-    if d.arc_count == 0:
+    names, tail, head = d.vertices, d._tail, d._head
+    if not tail or (start is not None and start not in names):
         return None
-    if start is not None and not d.has_vertex(start):
-        return None
-    plus = [v for v in d.vertices if d.out_degree(v) - d.in_degree(v) == 1]
-    minus = [v for v in d.vertices if d.in_degree(v) - d.out_degree(v) == 1]
-    balanced = all(abs(d.out_degree(v) - d.in_degree(v)) <= 1 for v in d.vertices)
-    if not balanced or len(plus) > 1 or len(minus) > 1 or len(plus) != len(minus):
+    outs, ins = Counter(tail), Counter(head)  # degrees, by vertex index
+    excess = [outs[v] - ins[v] for v in range(len(names))]
+    plus = [v for v, e in enumerate(excess) if e == 1]
+    # the excesses sum to zero, so when each is within 1, every +1 has its -1
+    if len(plus) > 1 or any(abs(e) > 1 for e in excess):
         return None
     if plus:
-        forced = plus[0]
-        if start is not None and start != forced:
+        begin = plus[0]
+        if start is not None and start != names[begin]:
             return None
-        begin = forced
     else:
-        begin = start if start is not None else next(v for v in d.vertices if d.out_degree(v) > 0)
-        if d.out_degree(begin) == 0:
+        # the first vertex with an out-arc is the least tail index
+        begin = names.index(start) if start is not None else min(tail)
+        if outs[begin] == 0:
             return None
 
-    cursor = {v: 0 for v in d.vertices}
-    stack: list[tuple[str, tuple[str, str] | None]] = [(begin, None)]
-    trail: list[tuple[str, str]] = []
+    leaving = list(map(iter, _out_arcs(d)))
+    # each entry: a vertex of the walk and the arc id that reached it
+    stack: list[tuple[int, int | None]] = [(begin, None)]
+    trail: list[int] = []
     while stack:
         v, via = stack[-1]
-        heads = d.out_neighbors(v)
-        if cursor[v] < len(heads):
-            w = heads[cursor[v]]
-            cursor[v] += 1
-            stack.append((w, (v, w)))
+        arc = next(leaving[v], None)
+        if arc is not None:
+            stack.append((head[arc], arc))
         else:
             stack.pop()
             if via is not None:
                 trail.append(via)
-    if len(trail) != d.arc_count:
+    if len(trail) != len(tail):
         return None  # arcs not mutually reachable
-    trail.reverse()
-    return tuple(trail)
+    return tuple(map(d.arcs.__getitem__, reversed(trail)))
 
 
 def count_eulerian_paths(d: Digraph, path: tuple[tuple[str, str], ...]) -> int:
@@ -104,12 +102,12 @@ def count_eulerian_paths(d: Digraph, path: tuple[tuple[str, str], ...]) -> int:
     Reconstruction ambiguity is reported, not resolved: spelling functions
     always follow the given (deterministic) path.
     """
-    used: set[tuple[str, str]] = set()
-    trail: list[tuple[str, str]] = []
+    head, leaving = d._head, _out_arcs(d)
+    used: set[int] = set()
+    trail: list[int] = []
     # choices[i] yields the untried out-arcs at the end of trail[:i]; an
     # explicit stack, because a trail can be longer than the recursion limit
-    start = path[0][0]
-    choices = [zip(repeat(start), d.out_neighbors(start))]
+    choices = [iter(leaving[d.vertices.index(path[0][0])])]
     count = 0
     while choices and count < PATH_COUNT_CAP:
         arc = next((a for a in choices[-1] if a not in used), None)
@@ -117,12 +115,12 @@ def count_eulerian_paths(d: Digraph, path: tuple[tuple[str, str], ...]) -> int:
             choices.pop()
             if trail:
                 used.remove(trail.pop())
-        elif len(trail) + 1 == d.arc_count:
+        elif len(trail) + 1 == len(head):
             count += 1
         else:
             used.add(arc)
             trail.append(arc)
-            choices.append(zip(repeat(arc[1]), d.out_neighbors(arc[1])))
+            choices.append(iter(leaving[head[arc]]))
     return count
 
 

@@ -4,6 +4,11 @@ Each case prints one PASS line (visible with -v or -s); a failure carries
 the criterion's own diagnosis.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dnagraph import acceptance
@@ -29,3 +34,16 @@ def test_run_all_reports_pass_and_fail(monkeypatch):
     assert acceptance.run_all(write=lines.append) is False
     assert [line.split()[:2] for line in lines] == [["PASS", "stub-pass"], ["FAIL", "stub-fail"]]
     assert lines[0].endswith("(fine)") and lines[1].endswith("[stub diagnosis]")
+
+
+def test_checks_run_under_optimize():
+    # python -O drops assert statements; a criterion's checks must still fail
+    script = ("import dnagraph.acceptance as acc\n"
+              "acc.find_quasi_violation = lambda d, lab: 'stub violation'\n"
+              "acc.run_all(only='chorded-rows')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.startswith("FAIL  chorded-rows ")
+    assert proc.stdout.endswith(" [quasi fails at n=6]\n")

@@ -303,11 +303,10 @@ def test_search_budget_flag(tmp_path):
 def test_nonpositive_budget_is_usage_error(tmp_path):
     g = tmp_path / "g.txt"
     run(["gen", "--family", "ladder", "--n", "3", "--out", str(g)])
-    for argv in (["search", "--alpha", "3", "--k", "4", "--budget", "0", "--digraph", str(g)],
-                 ["conjecture", "--n-max", "2", "--budget", "0"]):
-        code, out, err = run_with_err(argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+    argv = ["search", "--alpha", "3", "--k", "4", "--budget", "0", "--digraph", str(g)]
+    code, out, err = run_with_err(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_bad_flags_exit_2():

@@ -117,10 +117,11 @@ def reference_full(d, lab):
     bad = reference_quasi(d, lab)
     if bad is not None:
         return bad
+    arcs = set(d.arcs)
     for x in d.vertices:
         suffix = lab.label_of(x)[1:]
         for y in d.vertices:
-            if lab.label_of(y)[:-1] == suffix and not d.has_arc(x, y):
+            if lab.label_of(y)[:-1] == suffix and (x, y) not in arcs:
                 return (f"overlap pair {x}, {y} (shared window {format_label(suffix)}) "
                         f"is not an arc")
     return None
@@ -163,7 +164,7 @@ def corruptions(rng, d, lab):
         del dropped[rng.randrange(len(dropped))]
         yield Digraph(names, dropped), lab
     non_overlap = [(x, y) for x in names for y in names
-                   if labels[x][1:] != labels[y][:-1] and not d.has_arc(x, y)]
+                   if labels[x][1:] != labels[y][:-1] and (x, y) not in d.arcs]
     if non_overlap:
         extra = list(d.arcs)
         extra.insert(rng.randrange(len(extra) + 1), rng.choice(non_overlap))

@@ -42,7 +42,8 @@ def test_line_digraph_counts(rng):
         d = _random_digraph(rng)
         ld = line_digraph(d)
         assert ld.vertex_count == d.arc_count
-        assert ld.arc_count == sum(d.in_degree(v) * d.out_degree(v) for v in d.vertices)
+        outs, ins = Counter(t for t, _ in d.arcs), Counter(h for _, h in d.arcs)
+        assert ld.arc_count == sum(ins[v] * outs[v] for v in d.vertices)
 
 
 def test_line_digraph_matches_networkx(rng):

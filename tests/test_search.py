@@ -5,10 +5,11 @@ import pytest
 
 from dnagraph import (BUDGET_EXCEEDED, ConstructionFailure, Digraph, InvalidParameterError,
                       Labeling, ResourceLimitError, SAT, SearchConfig, UNSAT,
-                      check_middle_vertex_lemma, explore_conjecture, find_full_violation,
-                      find_labeling, find_quasi_violation, format_digraph_text,
-                      label_chorded_cycle, make_chorded_cycle, make_dicycle, make_dipath,
-                      make_ladder, parse_digraph_text, search)
+                      check_middle_vertex_lemma, chords_of, eulerian_path, explore_conjecture,
+                      find_full_violation, find_labeling, find_quasi_violation,
+                      format_digraph_text, isomorphic, label_chorded_cycle, make_chorded_cycle,
+                      make_dicycle, make_dipath, make_ladder, parse_digraph_text,
+                      sample_pevzner_graph, search)
 from dnagraph.labeling import _decode
 
 
@@ -59,19 +60,31 @@ def canonical_first_labels_reference(alpha, k):
     return out
 
 
+def name_adjacency(d):
+    """Out- and in-neighbours of every vertex, by name, in arc order, read
+    from the name pairs of d."""
+    out = {v: [] for v in d.vertices}
+    into = {v: [] for v in d.vertices}
+    for t, h in d.arcs:
+        out[t].append(h)
+        into[h].append(t)
+    return out, into
+
+
 def reference_vertex_order(d):
-    """The decision order read through the digraph's name views: a dict of
-    weights and a dict of last rises, compared as pairs."""
+    """The decision order over vertex names: a dict of weights and a dict of
+    last rises, compared as pairs."""
+    out, into = name_adjacency(d)
     weight = dict.fromkeys(d.vertices, 0)  # undecided vertices, in vertex order
     touched = dict.fromkeys(d.vertices, -1)
-    v = max(d.vertices, key=d.out_degree)
+    v = max(d.vertices, key=lambda u: len(out[u]))
     order = []
     for step in range(d.vertex_count):
         if step:
             v = max(weight, key=lambda u: (weight[u], touched[u]))  # first of equals wins
         order.append(v)
         del weight[v]
-        for w in (*d.out_neighbors(v), *d.in_neighbors(v)):
+        for w in (*out[v], *into[v]):
             if w in weight:
                 weight[w] += 1
                 touched[w] = step
@@ -84,9 +97,11 @@ class BudgetHit(Exception):
 
 def reference_find_labeling(d, cfg):
     """The search over vertex names: decided labels in a name -> code dict,
-    the label -> vertex map of the labels in use, and, in full mode, one
-    has_arc call for every decided vertex whose label overlaps a candidate."""
+    the label -> vertex map of the labels in use, and, in full mode, one arc
+    lookup for every decided vertex whose label overlaps a candidate."""
     order = reference_vertex_order(d)
+    out, into = name_adjacency(d)
+    arcs = set(d.arcs)
     alpha, k, full = cfg.alpha, cfg.k, cfg.mode == "full"
     window = alpha ** (k - 1)
     first_labels = [int("".join(str(s - 1) for s in lab), alpha)
@@ -97,14 +112,14 @@ def reference_find_labeling(d, cfg):
 
     def candidates(v, first):
         prefix = None
-        for u in d.in_neighbors(v):
+        for u in into[v]:
             if u in assigned:
                 if prefix is None:
                     prefix = assigned[u] % window
                 elif prefix != assigned[u] % window:
                     return ()
         suffix = None
-        for w in d.out_neighbors(v):
+        for w in out[v]:
             if w in assigned:
                 if suffix is None:
                     suffix = assigned[w] // alpha
@@ -131,10 +146,10 @@ def reference_find_labeling(d, cfg):
             return False
         for z in range(alpha):
             x = owner.get(z * window + prefix)
-            if x is not None and not d.has_arc(x, v):
+            if x is not None and (x, v) not in arcs:
                 return False
             y = owner.get(suffix * alpha + z)
-            if y is not None and not d.has_arc(v, y):
+            if y is not None and (v, y) not in arcs:
                 return False
         return True
 
@@ -143,7 +158,7 @@ def reference_find_labeling(d, cfg):
         if i == len(order):
             return True
         v = order[i]
-        loop = d.has_arc(v, v)
+        loop = (v, v) in arcs
         for lab in candidates(v, i == 0):
             if not admissible(v, lab, loop):
                 continue
@@ -286,9 +301,20 @@ class TestFindLabeling:
 
     @pytest.mark.parametrize("mode", ["quasi", "full"])
     def test_search_reads_no_name_view(self, mode):
-        d = parse_digraph_text(format_digraph_text(make_ladder(3)))
-        assert find_labeling(d, SearchConfig(3, 4, mode)).verdict == SAT
-        assert not {"arcs", "_vset", "_arcset", "_adjacency"} & set(vars(d))
+        # a parsed digraph is its arc store and every traversal reads the
+        # index lists; naming arcs may build the one view, arcs, and no other
+        store = {"vertices", "_tail", "_head"}
+        demo, demo_lab = sample_pevzner_graph()
+        d = parse_digraph_text(format_digraph_text(demo))
+        chorded = parse_digraph_text(format_digraph_text(make_chorded_cycle(6)))
+        assert find_labeling(d, SearchConfig(4, 2, mode)).verdict == SAT
+        quasi = find_labeling(chorded, SearchConfig(4, 3, "quasi")).certificate
+        assert isomorphic(d, demo)
+        assert find_full_violation(d, demo_lab) is None
+        assert check_middle_vertex_lemma(chorded, quasi)
+        assert set(vars(d)) == set(vars(chorded)) == store
+        assert len(chords_of(chorded)) == 2 and eulerian_path(d) is not None
+        assert set(vars(d)) <= store | {"arcs"} and set(vars(chorded)) <= store | {"arcs"}
 
     def test_canonical_first_labels_match_reference(self):
         for alpha in range(2, 7):
@@ -367,9 +393,3 @@ class TestConjectureExplorer:
         assert [(n, alpha, out.verdict, out.nodes_explored) for n, alpha, out in counts] == [
             (10, 3, SAT, 27), (10, 4, SAT, 29), (11, 3, SAT, 29), (11, 4, SAT, 31),
             (12, 3, UNSAT, 898)]
-
-    def test_fallback_row_appears_on_budget(self):
-        rows = explore_conjecture([4], node_budget=2)
-        ks = [(r.alpha, r.k, r.verdict) for r in rows]
-        assert (3, 4, BUDGET_EXCEEDED) in ks
-        assert (3, 5, BUDGET_EXCEEDED) in ks
