@@ -7,8 +7,16 @@ iterates as DNA graphs.
 Every labeling below is the cyclic k-windows of one short symbol string
 per cycle: a cycle labeled by consecutive windows of a cyclic string
 satisfies the shift condition by construction, so only distinctness (and
-non-collision between glued cycles) has to be arranged.  The same view
-makes the vertex-merging shrink a one-symbol string deletion.
+non-collision between glued cycles) has to be arranged.  Chorded cycles
+use catalogued strings; every glued family's strings are one formula
+(c = ceil(n/2), blade length L):
+
+- C_n . C_p at k = c + 1: the small cycle 1^(c+1) 2^(n-c-1) (211 for n = 3);
+  the big cycle the anchor 3 1^c 2 and then the first p - c - 2 symbols of
+  R = 3^c 4^(c+1) 3^c 2^c, in reverse order when n < 6.  This is the
+  paper's vertex merging down from the longest cycle, p = 5c + 3.
+- blade j of a glued cycle at k = max ceil(L/2): 1^k 2^(L-k) for blade 1 at
+  k = ceil(L/2), else (j+1) 1^(k-1) 2 (j+1)^(L-k-1).
 """
 
 from __future__ import annotations
@@ -96,45 +104,24 @@ def label_chorded_cycle(n: int) -> ConstructionResult:
 # blade strings shared by the double-cycle, windmill, and propeller families
 # ---------------------------------------------------------------------------
 
-def _blade_plain(length: int, j: int, k: int) -> tuple[int, ...]:
-    """Cycle string for a blade labeled at k = ceil(length/2).
-
-    Blade 1 uses symbols {1,2}; blade j >= 2 uses {1, 2, j+1}, so distinct
-    blades can only meet at the shared window (1,...,1,2).
-    """
-    if j == 1:
+def _blade(length: int, j: int, k: int) -> tuple[int, ...]:
+    """Cycle string of blade j of the given length, read at k.  Blade j >= 2
+    uses {1, 2, j+1}, so distinct blades can only meet at the shared window
+    (1,...,1,2)."""
+    if j == 1 and k == _ceil_half(length):
         return (1,) * k + (2,) * (length - k)
     return (j + 1,) + (1,) * (k - 1) + (2,) + (j + 1,) * (length - k - 1)
-
-
-def _blade_star(length: int, j: int, k: int) -> tuple[int, ...]:
-    """Cycle string for a blade labeled one symbol longer, k = ceil(length/2)+1.
-
-    For odd lengths this is the even string of length+1 with one trailing
-    palette symbol removed, which merges two adjacent window labels into one.
-    """
-    if length % 2 == 0:
-        m = length // 2
-        tail = m - 2
-    else:
-        m = (length + 1) // 2
-        tail = m - 3
-    if tail < 0:
-        raise InvalidParameterError(f"blade of length {length} has no k={k} labeling here")
-    return (j + 1,) + (1,) * m + (2,) + (j + 1,) * tail
 
 
 def _label_blades(d: Digraph, lengths: tuple[int, ...], alpha: int,
                   tag: str) -> ConstructionResult:
     """Label the blades v, u, w (in that order) of a glued digraph at one k.
 
-    Every blade is labeled either at ceil(L/2) (plain string) or at
-    ceil(L/2)+1 (longer string), and all blades must agree, so
-    k = max over blades of ceil(L/2).
+    Every blade is labeled at ceil(L/2) or at ceil(L/2)+1, and all blades
+    must agree, so k = max over blades of ceil(L/2).
     """
     k = max(_ceil_half(length) for length in lengths)
-    strings = tuple((_blade_plain if _ceil_half(length) == k else _blade_star)(length, j, k)
-                    for j, length in enumerate(lengths, start=1))
+    strings = tuple(_blade(length, j, k) for j, length in enumerate(lengths, start=1))
     return _label_cycles(d, strings, alpha, k, tag)
 
 
@@ -170,66 +157,18 @@ def label_propeller(n: int, p: int, q: int) -> ConstructionResult:
 # infinity digraphs C_n . C_p
 # ---------------------------------------------------------------------------
 
-def _infinity_u_template(c: int, tail_run: bool) -> tuple[int, ...]:
-    """Full-length string for the big cycle, length 5c + 3, k = c + 1.
-
-    The classic layout keeps the whole 2-run next to the shared vertex; its
-    windows then repeat small-cycle labels once c >= 3, so for those sizes
-    the surplus twos are relocated to the tail of the string, after which
-    every window other than the shared one carries a 3 or a 4 and collisions
-    are impossible.
-    """
-    if not tail_run:
-        return (3,) + (1,) * c + (2,) * (c + 1) + (3,) * c + (4,) * (c + 1) + (3,) * c
-    return ((3,) + (1,) * c + (2,) + (3,) * c + (4,) * (c + 1) + (3,) * c + (2,) * c)
-
-
-def _string_ok(s: tuple[int, ...], k: int, forbidden: frozenset[Label]) -> bool:
-    wins = _windows(s, k)
-    return len(set(wins)) == len(wins) and not any(w in forbidden for w in wins)
-
-
-def _shrink_string(s: tuple[int, ...], k: int, target: int, forbidden: frozenset[Label],
-                   rightmost: bool) -> tuple[int, ...]:
-    """Delete symbols one at a time until len(s) == target.
-
-    Deleting a symbol inside a constant run leaves every other window
-    untouched; deleting elsewhere merges two adjacent window labels into one,
-    which is the paper's vertex merging.  The first k+1 positions (the
-    anchor ``3 1..1 2`` holding the shared window) are pinned.  Each deletion
-    must leave all windows distinct and outside the forbidden set; candidate
-    positions are scanned from the chosen end so output is deterministic.
-    """
-    cur = list(s)
-    while len(cur) > target:
-        positions = range(len(cur) - 1, k, -1) if rightmost else range(k + 1, len(cur))
-        for pos in positions:
-            cand = cur[:pos] + cur[pos + 1:]
-            if _string_ok(tuple(cand), k, forbidden):
-                cur = cand
-                break
-        else:
-            raise ConstructionFailure(
-                f"no vertex can be merged away at length {len(cur)} (target {target})")
-    return tuple(cur)
-
-
 def _infinity_build(n: int, p: int, v_string: tuple[int, ...], tag: str) -> ConstructionResult:
     """Label C_n . C_p: the small cycle by the windows of v_string, and the big
-    cycle by the windows of the full-length string shrunk to p symbols."""
+    cycle by the module's formula.  For n >= 6 every big-cycle window other
+    than the shared one carries a 3 or a 4."""
     c = _ceil_half(n)
-    p_min, p_max = max(n, 4), 5 * c + 3
+    run = (3,) * c + (4,) * (c + 1) + (3,) * c + (2,) * c
+    p_min, p_max = max(n, 4), c + 2 + len(run)
     if not p_min <= p <= p_max:
         raise InvalidParameterError(f"p must satisfy {p_min} <= p <= {p_max}, got {p}")
-    k = c + 1
-    tail_run = n >= 6
-    full = _infinity_u_template(c, tail_run)
-    v_labels = _windows(v_string, k)
-    forbidden = frozenset(v_labels) - {v_labels[1]}
-    if not _string_ok(full, k, forbidden):
-        raise ConstructionFailure(f"{tag}: full-length cycle fails self-check")
-    u_string = _shrink_string(full, k, p, forbidden, rightmost=tail_run)
-    return _label_cycles(make_infinity(n, p), (v_string, u_string), 4, k, tag)
+    body = run[:p - c - 2]
+    u_string = (3,) + (1,) * c + (2,) + (body if n >= 6 else body[::-1])
+    return _label_cycles(make_infinity(n, p), (v_string, u_string), 4, c + 1, tag)
 
 
 def _infinity_v_string(n: int) -> tuple[int, ...]:
@@ -256,8 +195,8 @@ def label_infinity_c3(p: int) -> ConstructionResult:
     """Quasi-(4,3)-labeling of C_3 . C_p for 4 <= p <= 13.
 
     The triangle is labeled by the windows of 211 (211, 112, 121) and the big
-    cycle is the n = 3 case of the even construction: k = 3, length 13, no
-    tail run.
+    cycle is the n = 3 case of the shared formula: k = 3, and at p = 13 the
+    string is 3112 22 33 444 33.
     """
     return _infinity_build(3, p, (2, 1, 1), "infinity-c3")
 

@@ -1,12 +1,14 @@
 import hashlib
+import itertools
 
 import pytest
 
-from dnagraph import (InvalidParameterError, UnsupportedParameterError, find_quasi_violation,
+from dnagraph import (CONSTRUCTIONS, ConstructionFailure, InvalidParameterError, UnsupportedParameterError, find_quasi_violation,
                       format_digraph_text, format_label, format_labeling, label_chorded_cycle,
                       label_double_cycle, label_infinity_c3, label_infinity_even,
-                      label_infinity_odd, label_propeller, label_windmill)
+                      label_infinity_odd, label_propeller, label_windmill, make_infinity)
 from dnagraph.acceptance import _small_fixtures
+from dnagraph.constructions import _label_cycles
 
 
 def row_of(result, prefix, indices):
@@ -235,3 +237,36 @@ def test_catalogue_fixtures_digest():
         count += 1
     assert count == 208
     assert h.hexdigest() == "dbf6c27f1f538e0f56b59db8aaca9ee4355e2c5b8291453c206350bbb28d7f0f"
+
+
+def test_catalogue_is_pinned():
+    # every CONSTRUCTIONS entry over a grid of parameters, including the ones
+    # it refuses: one sha256 over each member's digraph and labeling text, or
+    # its error type and message
+    grid = {"n": range(1, 21), "p": range(1, 31), "q": range(1, 23)}
+    digest = hashlib.sha256()
+    members = built = 0
+    for tag, (params, label) in CONSTRUCTIONS.items():
+        for values in itertools.product(*(grid[name] for name in params)):
+            try:
+                r = label(*values)
+                got = format_digraph_text(r.digraph) + format_labeling(r.labeling)
+                built += 1
+            except InvalidParameterError as exc:
+                got = (type(exc).__name__, str(exc))
+            digest.update(repr((tag, values, got)).encode())
+            members += 1
+    assert (members, built) == (14490, 472)
+    assert digest.hexdigest() == "0a5a68e9a99ec6459d01c1f5dc74e9f056742957afb2a46c3660f8a68a490802"
+
+
+class TestLabelCyclesGuard:
+    def test_repeated_label_fails_self_verification(self):
+        with pytest.raises(ConstructionFailure,
+                           match="failed self-verification: vertices v1 and u1 share label 111"):
+            _label_cycles(make_infinity(4, 4), ((1, 1, 1, 2), (1, 1, 1, 2)), 4, 3, "infinity-even")
+
+    def test_cycles_disagree_on_shared_vertex(self):
+        with pytest.raises(ConstructionFailure,
+                           match="cycles disagree on the shared vertex label"):
+            _label_cycles(make_infinity(4, 4), ((1, 1, 1, 2), (2, 1, 1, 1)), 4, 3, "infinity-even")

@@ -223,8 +223,10 @@ class TestFindLabeling:
         for out in both_orders(make_dicycle(4), SearchConfig(2, 2, "full")):
             assert out.verdict == UNSAT
 
-    def test_chorded_15_unsat_exhaustively(self):
-        out = find_labeling(make_chorded_cycle(15), SearchConfig(4, 3, "quasi"))
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("n", range(15, search.SEARCH_SIZE_CAP + 1))
+    def test_chorded_beyond_14_unsat_exhaustively(self, n, k):
+        out = find_labeling(make_chorded_cycle(n), SearchConfig(4, k, "quasi"))
         assert out.verdict == UNSAT
         assert out.nodes_explored < 10 ** 5
 
