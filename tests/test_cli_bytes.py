@@ -7,13 +7,16 @@ error of ``parse_digraph_text``, ``parse_labeling`` and ``Labeling`` that a
 file can raise, each verifier's violations, ``gen`` and ``label`` with their
 file outputs, a small ``lift``, ``search``, ``iso`` and ``sequence --demo``.
 A change that is meant to keep the CLI's behaviour keeps this digest.
+A second digest covers ``sequence`` alone, on inputs whose Eulerian paths
+range from one to past the count's cap.
 """
 
 import hashlib
 import io
+import itertools
 from pathlib import Path
 
-from dnagraph import cli
+from dnagraph import Digraph, Labeling, cli, format_digraph_text, format_labeling
 
 DIGRAPHS = {
     "cycle": "3 3\nx y\ny z\nz x\n",
@@ -127,3 +130,44 @@ def test_cli_bytes_are_pinned(tmp_path, monkeypatch):
         calls += 1
     assert calls == 107
     assert digest.hexdigest() == "93c8792aa8a78a493002482c9ac8e695e5094e1b9d086d0579374698b4347186"
+
+
+def sequence_inputs():
+    """(digraph file, labeling file) for every pinned sequence call, each pair
+    written into the working directory before it is yielded."""
+    def setup(argv):
+        assert cli.main(argv, out=io.StringIO(), err=io.StringIO()) == 0, argv
+
+    for n in range(6, 15):
+        setup(["label", "--construction", "chorded-cycle", "--n", str(n),
+               "--out-digraph", f"c{n}.txt", "--out-labeling", f"c{n}.lab"])
+        setup(["lift", "--m", "1", "--digraph", f"c{n}.txt", "--labeling", f"c{n}.lab",
+               "--out-digraph", f"c{n}-1.txt", "--out-labeling", f"c{n}-1.lab"])
+        yield f"c{n}-1.txt", f"c{n}-1.lab"
+    for name, params in (("infinity-even", ["--n", "4", "--p", "5"]), ("windmill", ["--n", "4"])):
+        setup(["label", "--construction", name, *params,
+               "--out-digraph", f"{name}.txt", "--out-labeling", f"{name}.lab"])
+        yield f"{name}.txt", f"{name}.lab"
+    # the complete B(2,4): 4096 eulerian paths, far above the count's cap
+    words = ["".join(w) for w in itertools.product("12", repeat=4)]
+    Path("b24.txt").write_text(format_digraph_text(
+        Digraph(words, [(w, w[1:] + c) for w in words for c in "12"])), encoding="utf-8")
+    Path("b24.lab").write_text(format_labeling(
+        Labeling(2, 4, {w: tuple(map(int, w)) for w in words})), encoding="utf-8")
+    yield "b24.txt", "b24.lab"
+
+
+def test_sequence_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    calls = [["--demo"]] + [["--demo", "--start", v] for v in ("TA", "AC", "CG", "CT", "GA")]
+    calls += [["--digraph", g, "--labeling", lab] for g, lab in sequence_inputs()]
+    digest = hashlib.sha256()
+    for args in calls:
+        argv = ["sequence", *args, "--dot", "seq.dot"]
+        Path("seq.dot").write_text("", encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.main(argv, out=out, err=err)
+        dot = Path("seq.dot").read_text(encoding="utf-8")
+        digest.update(repr((argv, code, out.getvalue(), err.getvalue(), dot)).encode())
+    assert len(calls) == 18
+    assert digest.hexdigest() == "fa4b6958a6ed1e1cb99eb740a8a14836ea3667eb5ac394e0d9a21253b52f7b5e"
