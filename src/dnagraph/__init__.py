@@ -24,9 +24,8 @@ from .labeling import (Label, Labeling, find_dna_violation, find_full_violation,
 from .lift import LiftedLabeling, lift_m, lift_once
 from .search import (BUDGET_EXCEEDED, ConjectureRow, SAT, SearchConfig, SearchOutcome,
                      UNSAT, check_middle_vertex_lemma, explore_conjecture, find_labeling)
-from .sequencing import (NUCLEOTIDES, Spectrum, count_eulerian_paths, eulerian_path,
-                         hamiltonian_via_line, pevzner_arc_labels, sample_pevzner_graph,
-                         spell_eulerian, to_nucleotides)
+from .sequencing import (NUCLEOTIDES, count_eulerian_paths, eulerian_path, hamiltonian_path,
+                         pevzner_arc_labels, sample_pevzner_graph, spell_eulerian, to_nucleotides)
 
 __version__ = "0.1.0"
 
@@ -34,11 +33,11 @@ __all__ = [
     "BUDGET_EXCEEDED", "CHORDED_STRINGS", "CONSTRUCTIONS", "ConjectureRow", "ConstructionFailure",
     "ConstructionResult", "Digraph", "DnaGraphError", "FAMILIES", "InvalidInputError",
     "InvalidParameterError", "Label", "Labeling", "LiftedLabeling", "NUCLEOTIDES",
-    "ResourceLimitError", "SAT", "SearchConfig", "SearchOutcome", "Spectrum", "UNSAT",
+    "ResourceLimitError", "SAT", "SearchConfig", "SearchOutcome", "UNSAT",
     "UnsupportedParameterError", "WALK_SEP", "check_middle_vertex_lemma", "chords_of",
     "count_eulerian_paths", "eulerian_path", "explore_conjecture", "find_dna_violation",
     "find_full_violation", "find_labeling", "find_quasi_violation", "format_digraph_text",
-    "format_label", "format_labeling", "hamiltonian_via_line", "isomorphic",
+    "format_label", "format_labeling", "hamiltonian_path", "isomorphic",
     "label_chorded_cycle", "label_double_cycle", "label_infinity_c3", "label_infinity_even",
     "label_infinity_odd", "label_propeller", "label_windmill", "lift_m", "lift_once",
     "line_digraph", "make_chorded_cycle", "make_dicycle", "make_dipath", "make_infinity",

@@ -24,7 +24,7 @@ from .labeling import (Labeling, find_dna_violation, find_full_violation,
 from .lift import lift_m, lift_once
 from .search import (SAT, UNSAT, SearchConfig, check_middle_vertex_lemma, explore_conjecture,
                      find_labeling)
-from .sequencing import (eulerian_path, hamiltonian_via_line, pevzner_arc_labels,
+from .sequencing import (eulerian_path, hamiltonian_path, pevzner_arc_labels,
                          sample_pevzner_graph, spell_eulerian)
 
 
@@ -270,10 +270,13 @@ def criterion_sbh_pipeline() -> str:
     path = eulerian_path(d, start="TA")
     _check(path is not None)
     _check(spell_eulerian(lab, path) == "TACGACTA")
-    spectrum = hamiltonian_via_line(pevzner_arc_labels(d, lab), path)
-    _check(spectrum.sequence == "TACGACTA")
+    line, line_lab = pevzner_arc_labels(d, lab)
+    walks = hamiltonian_path(d, line, path)
+    # the walk names restated from the path's arcs, not read off L(d)
+    _check(walks == tuple(_walk_join(tail, head) for tail, head in path))
+    _check(spell_eulerian(line_lab, tuple(zip(walks, walks[1:]))) == "TACGACTA")
     lysov = line_digraph(d)
-    _check(sorted(spectrum.source_path) == sorted(lysov.vertices))
+    _check(sorted(walks) == sorted(lysov.vertices))
     expected_lysov = Digraph(
         ["TAC", "ACG", "ACT", "CGA", "GAC", "CTA"],
         [("TAC", "ACG"), ("TAC", "ACT"), ("ACG", "CGA"), ("CGA", "GAC"),

@@ -11,16 +11,14 @@ import sys
 
 from . import acceptance
 from .constructions import CONSTRUCTIONS
-from .digraph import (FAMILIES, format_digraph_text, isomorphic, line_digraph,
-                      parse_digraph_text, to_dot)
+from .digraph import FAMILIES, format_digraph_text, isomorphic, parse_digraph_text, to_dot
 from .errors import DnaGraphError, InvalidParameterError
 from .labeling import (find_dna_violation, find_full_violation, find_quasi_violation,
                        format_labeling, parse_labeling)
 from .lift import lift_m
 from .search import DEFAULT_NODE_BUDGET, SAT, SearchConfig, explore_conjecture, find_labeling
-from .sequencing import (PATH_COUNT_CAP, count_eulerian_paths, eulerian_path,
-                         hamiltonian_via_line, pevzner_arc_labels, sample_pevzner_graph,
-                         spell_eulerian, to_nucleotides)
+from .sequencing import (PATH_COUNT_CAP, count_eulerian_paths, eulerian_path, hamiltonian_path,
+                         pevzner_arc_labels, sample_pevzner_graph, spell_eulerian, to_nucleotides)
 
 VERIFIERS = {"quasi": find_quasi_violation, "full": find_full_violation, "dna": find_dna_violation}
 
@@ -122,29 +120,31 @@ def _cmd_sequence(args, out) -> int:
         d, lab = _load_pair(args)
     if args.start is not None and args.start not in d.vertices:
         raise InvalidParameterError(f"start vertex {args.start} is not in the digraph")
-    # both raise on bad input, so they run before anything is written
+    # these raise on bad input, so they run before anything is written
     names = to_nucleotides(lab)
-    arc_labels = pevzner_arc_labels(d, lab)
+    line, line_lab = pevzner_arc_labels(d, lab)
+    merged = to_nucleotides(line_lab)
     out.write("vertices:\n")
     for v in d.vertices:
         out.write(f"  {v}\t{names[v]}\n")
     out.write("arcs:\n")
-    for arc, merged in arc_labels.items():
-        out.write(f"  {arc[0]} {arc[1]}\t{merged}\n")
+    for (tail, head), walk in zip(d.arcs, line.vertices):
+        out.write(f"  {tail} {head}\t{merged[walk]}\n")
     path = eulerian_path(d, args.start)
     if path is None:
         out.write("no eulerian path\n")
         return 1
     out.write("eulerian path: " + " ".join(f"{t}>{h}" for t, h in path) + "\n")
-    spectrum = hamiltonian_via_line(arc_labels, path)
-    out.write("hamiltonian path: " + " ".join(spectrum.source_path) + "\n")
+    walks = hamiltonian_path(d, line, path)
+    out.write("hamiltonian path: " + " ".join(walks) + "\n")
     out.write(f"spectrum (eulerian): {spell_eulerian(lab, path)}\n")
-    out.write(f"spectrum (line digraph): {spectrum.sequence}\n")
+    spectrum = merged[walks[0]] + "".join(merged[w][-1] for w in walks[1:])
+    out.write(f"spectrum (line digraph): {spectrum}\n")
     paths = count_eulerian_paths(d, path)
     bound = "at least " if paths >= PATH_COUNT_CAP else ""
     out.write(f"distinct eulerian paths from this start: {bound}{paths}\n")
     if args.dot:
-        _write(args.dot, to_dot(line_digraph(d)))
+        _write(args.dot, to_dot(line))
     return 0
 
 

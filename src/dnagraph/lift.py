@@ -34,18 +34,22 @@ class LiftedLabeling:
     vertex_counts: tuple[int, ...]
 
 
+def _merge_line(d: Digraph, lab: Labeling, codes: list[int]) -> tuple[Digraph, Labeling]:
+    """L(d), its vertex i labeled by the tail label of arc i of d, then the last symbol
+    of the head label; codes are lab's in vertex order, checked to overlap on every arc."""
+    lifted = line_digraph(d)
+    shifted = list(map(mul, codes, repeat(lab.alpha)))
+    last = list(map(mod, codes, repeat(lab.alpha)))
+    merged = map(add, map(shifted.__getitem__, d._tail), map(last.__getitem__, d._head))
+    return lifted, Labeling._trusted(lab.alpha, lab.k + 1, dict(zip(lifted.vertices, merged)))
+
+
 def lift_once(d: Digraph, lab: Labeling) -> tuple[Digraph, Labeling]:
     """One lift step: quasi-(alpha, k) on d -> full (alpha, k+1) on L(d)."""
     bad, codes = _quasi(d, lab)
     if bad is not None:
         raise InvalidInputError(f"lift needs a quasi-valid labeling: {bad}")
-    lifted = line_digraph(d)
-    # vertex i of L(d) is arc i of d, whose ends overlap (checked above): its
-    # label is the tail label, then the last symbol of the head label
-    shifted = list(map(mul, codes, repeat(lab.alpha)))
-    last = list(map(mod, codes, repeat(lab.alpha)))
-    merged = map(add, map(shifted.__getitem__, d._tail), map(last.__getitem__, d._head))
-    lifted_lab = Labeling._trusted(lab.alpha, lab.k + 1, dict(zip(lifted.vertices, merged)))
+    lifted, lifted_lab = _merge_line(d, lab, codes)
     bad = find_full_violation(lifted, lifted_lab)
     if bad is not None:
         raise ConstructionFailure(f"lifted labeling is not full (library bug): {bad}")

@@ -10,11 +10,11 @@ corresponding Hamiltonian path.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .digraph import Digraph, _out_arcs, _walk_join
+from .digraph import Digraph, _out_arcs
 from .errors import InvalidInputError
-from .labeling import Label, Labeling, find_quasi_violation, overlap_merge
+from .labeling import Label, Labeling, find_quasi_violation
+from .lift import _merge_line
 
 NUCLEOTIDES = {1: "A", 2: "C", 3: "G", 4: "T"}
 
@@ -33,16 +33,13 @@ def to_nucleotides(lab: Labeling) -> dict[str, str]:
     return {v: nucleotide_string(label) for v, label in lab.assignment.items()}
 
 
-def pevzner_arc_labels(d: Digraph, lab: Labeling) -> dict[tuple[str, str], str]:
-    """Label every arc with the (k+1)-mer merging its endpoint labels."""
+def pevzner_arc_labels(d: Digraph, lab: Labeling) -> tuple[Digraph, Labeling]:
+    """L(d), its vertex i labeled by the (k+1)-mer that the lift's merge puts on
+    arc i of d: the Pevzner arc labels are the Lysov vertex labels."""
     bad = find_quasi_violation(d, lab)
     if bad is not None:
         raise InvalidInputError(f"arc labels need a quasi-valid labeling: {bad}")
-    labels = lab.assignment
-    return {
-        (tail, head): nucleotide_string(overlap_merge(labels[tail], labels[head]))
-        for tail, head in d.arcs
-    }
+    return _merge_line(d, lab, list(map(lab.codes.__getitem__, d.vertices)))
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +121,6 @@ def count_eulerian_paths(d: Digraph, path: tuple[tuple[str, str], ...]) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """A reconstructed nucleotide string and the vertex walk that spelled it."""
-
-    sequence: str
-    source_path: tuple[str, ...]
-
-
 def spell_eulerian(lab: Labeling, path: tuple[tuple[str, str], ...]) -> str:
     """Overlap-concatenate the vertex k-mers along an Eulerian arc sequence."""
     first = lab.label_of(path[0][0])
@@ -141,14 +130,12 @@ def spell_eulerian(lab: Labeling, path: tuple[tuple[str, str], ...]) -> str:
     return out
 
 
-def hamiltonian_via_line(arc_labels: dict[tuple[str, str], str],
-                         path: tuple[tuple[str, str], ...]) -> Spectrum:
-    """Map an Eulerian arc sequence onto the Hamiltonian vertex sequence of
-    the line digraph and spell the spectrum from the (k+1)-mers that
-    pevzner_arc_labels put on those arcs."""
-    vertices = tuple(_walk_join(tail, head) for tail, head in path)
-    sequence = arc_labels[path[0]] + "".join(arc_labels[arc][-1] for arc in path[1:])
-    return Spectrum(sequence=sequence, source_path=vertices)
+def hamiltonian_path(d: Digraph, line: Digraph,
+                     path: tuple[tuple[str, str], ...]) -> tuple[str, ...]:
+    """The vertices of line = L(d) at the positions of path's arcs in d: a
+    Hamiltonian path of L(d) when path is an Eulerian path of d."""
+    walk = dict(zip(d.arcs, line.vertices))
+    return tuple(map(walk.__getitem__, path))
 
 
 # ---------------------------------------------------------------------------

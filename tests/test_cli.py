@@ -253,6 +253,18 @@ def test_sequence_bad_labeling_writes_nothing(tmp_path, labels, error):
     assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("dot", [[], ["--dot", "seq.dot"]])
+def test_sequence_repeated_walk_name_writes_nothing(tmp_path, monkeypatch, dot):
+    # arcs a -> b→c and a→b -> c would both name their walk a→b→c in L(D)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text("4 3\na b→c\nb→c a→b\na→b c\n", encoding="utf-8")
+    (tmp_path / "l.txt").write_text("4 2\na\t1 2\nb→c\t2 3\na→b\t3 4\nc\t4 1\n",
+                                    encoding="utf-8")
+    code, out, err = run_with_err(["sequence", "--digraph", "g.txt", "--labeling", "l.txt", *dot])
+    assert (code, out, err) == (2, "", "error: duplicate vertex name in vertex set\n")
+    assert not (tmp_path / "seq.dot").exists()
+
+
 def test_conjecture_table():
     code, out = run(["conjecture", "--n-min", "2", "--n-max", "3"])
     assert code == 0

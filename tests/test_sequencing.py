@@ -1,12 +1,14 @@
+import io
 import sys
 
 import pytest
 
 import dnagraph.sequencing
-from dnagraph import (Digraph, InvalidInputError, Labeling, WALK_SEP,
-                      count_eulerian_paths, eulerian_path, hamiltonian_via_line,
-                      line_digraph, make_dicycle, pevzner_arc_labels,
+from dnagraph import (Digraph, InvalidInputError, Labeling, WALK_SEP, cli,
+                      count_eulerian_paths, eulerian_path, format_digraph_text, format_labeling,
+                      hamiltonian_path, lift_once, line_digraph, make_dicycle, pevzner_arc_labels,
                       sample_pevzner_graph, spell_eulerian, to_nucleotides)
+from dnagraph.sequencing import nucleotide_string
 
 
 @pytest.fixture
@@ -38,16 +40,19 @@ class TestNucleotides:
 
     def test_commutes_with_overlap_merge(self):
         from dnagraph import overlap_merge
-        from dnagraph.sequencing import nucleotide_string
         a, b = (4, 1, 2), (1, 2, 3)
         merged = nucleotide_string(overlap_merge(a, b))
         assert merged == nucleotide_string(a) + nucleotide_string(b)[-1] == "TACG"
 
 
+
 class TestArcLabels:
     def test_demo_arc_merges(self, demo):
         d, lab = demo
-        arcs = pevzner_arc_labels(d, lab)
+        line, line_lab = pevzner_arc_labels(d, lab)
+        assert (line, line_lab) == lift_once(d, lab)
+        merged = to_nucleotides(line_lab)
+        arcs = {arc: merged[walk] for arc, walk in zip(d.arcs, line.vertices)}
         assert arcs[("TA", "AC")] == "TAC"
         assert arcs[("AC", "CT")] == "ACT"
         assert arcs[("CT", "TA")] == "CTA"
@@ -96,45 +101,58 @@ class TestEulerianPath:
         assert eulerian_path(d, start="a") is not None
 
 
-def demo_spectrum(d, lab):
-    return hamiltonian_via_line(pevzner_arc_labels(d, lab), eulerian_path(d, start="TA"))
+def sequence_lines(argv):
+    """The lines of a successful sequence call, by their heading."""
+    out = io.StringIO()
+    assert cli.main(["sequence", *argv], out=out) == 0
+    return dict(line.split(": ", 1) for line in out.getvalue().splitlines() if ": " in line)
+
+
+def demo_walks(d, lab):
+    line, _ = pevzner_arc_labels(d, lab)
+    return line, hamiltonian_path(d, line, eulerian_path(d, start="TA"))
 
 
 class TestHamiltonianViaLine:
     def test_demo_vertex_sequence(self, demo):
         d, lab = demo
-        spectrum = demo_spectrum(d, lab)
-        assert spectrum.sequence == "TACGACTA"
+        _, walks = demo_walks(d, lab)
         sep = WALK_SEP
-        assert spectrum.source_path == (
+        assert walks == (
             f"TA{sep}AC", f"AC{sep}CG", f"CG{sep}GA",
             f"GA{sep}AC", f"AC{sep}CT", f"CT{sep}TA")
+        lines = sequence_lines(["--demo", "--start", "TA"])
+        assert lines["hamiltonian path"] == " ".join(walks)
+        assert lines["spectrum (line digraph)"] == "TACGACTA"
 
     def test_visits_every_line_vertex_once(self, demo):
         d, lab = demo
-        spectrum = demo_spectrum(d, lab)
-        lysov = line_digraph(d)
-        assert sorted(spectrum.source_path) == sorted(lysov.vertices)
+        line, walks = demo_walks(d, lab)
+        assert line == line_digraph(d)
+        assert sorted(walks) == sorted(line.vertices)
 
     def test_walks_are_line_arcs(self, demo):
         d, lab = demo
-        spectrum = demo_spectrum(d, lab)
-        lysov = line_digraph(d)
-        for a, b in zip(spectrum.source_path, spectrum.source_path[1:]):
-            assert (a, b) in lysov.arcs
+        line, walks = demo_walks(d, lab)
+        for a, b in zip(walks, walks[1:]):
+            assert (a, b) in line.arcs
 
     def test_length_arithmetic(self, demo):
         # merged 3-mers overlap pairwise on two bases: 3 + (arcs - 1)
         d, lab = demo
-        spectrum = demo_spectrum(d, lab)
-        assert len(spectrum.sequence) == (lab.k + 1) + d.arc_count - 1 == 8
+        spectrum = sequence_lines(["--demo", "--start", "TA"])["spectrum (line digraph)"]
+        assert len(spectrum) == (lab.k + 1) + d.arc_count - 1 == 8
 
-    def test_dicycle_round_trip(self):
+    def test_dicycle_round_trip(self, tmp_path):
         d = make_dicycle(3)
         lab = Labeling(3, 2, {"v1": (1, 2), "v2": (2, 3), "v3": (3, 1)})
+        (tmp_path / "d.txt").write_text(format_digraph_text(d))
+        (tmp_path / "d.lab").write_text(format_labeling(lab))
+        lines = sequence_lines(["--digraph", str(tmp_path / "d.txt"),
+                                "--labeling", str(tmp_path / "d.lab"), "--start", "v1"])
         path = eulerian_path(d, "v1")
-        spectrum = hamiltonian_via_line(pevzner_arc_labels(d, lab), path)
-        assert spectrum.sequence == spell_eulerian(lab, path)
+        assert lines["spectrum (line digraph)"] == spell_eulerian(lab, path) == "ACGAC"
+        assert lines["spectrum (eulerian)"] == "ACGAC"
 
 
 def count_from(d, start):
