@@ -23,7 +23,11 @@ PATH_COUNT_CAP = 64
 
 
 def nucleotide_string(label: Label) -> str:
-    return "".join(NUCLEOTIDES[s] for s in label)
+    """Render one label, whose symbols must lie in 1..4."""
+    try:
+        return "".join(map(NUCLEOTIDES.__getitem__, label))
+    except KeyError as exc:
+        raise InvalidInputError(f"nucleotide rendering needs symbols 1..4, got {exc}") from None
 
 
 def to_nucleotides(lab: Labeling) -> dict[str, str]:
@@ -124,10 +128,7 @@ def count_eulerian_paths(d: Digraph, path: tuple[tuple[str, str], ...]) -> int:
 def spell_eulerian(lab: Labeling, path: tuple[tuple[str, str], ...]) -> str:
     """Overlap-concatenate the vertex k-mers along an Eulerian arc sequence."""
     first = lab.label_of(path[0][0])
-    out = nucleotide_string(first)
-    for _, head in path:
-        out += NUCLEOTIDES[lab.label_of(head)[-1]]
-    return out
+    return nucleotide_string(first + tuple(lab.label_of(head)[-1] for _, head in path))
 
 
 def hamiltonian_path(d: Digraph, line: Digraph,

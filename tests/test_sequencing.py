@@ -44,6 +44,17 @@ class TestNucleotides:
         merged = nucleotide_string(overlap_merge(a, b))
         assert merged == nucleotide_string(a) + nucleotide_string(b)[-1] == "TACG"
 
+    def test_symbol_past_four_is_bad_input(self):
+        # a valid quasi-(5,2) labeling that uses the symbol 5
+        d = make_dicycle(3)
+        lab = Labeling(5, 2, {"v1": (1, 5), "v2": (5, 2), "v3": (2, 1)})
+        line, line_lab = pevzner_arc_labels(d, lab)
+        with pytest.raises(InvalidInputError, match="needs symbols 1..4, got 5"):
+            nucleotide_string((1, 5))
+        with pytest.raises(InvalidInputError, match="got 5"):
+            spell_eulerian(lab, eulerian_path(d))
+        with pytest.raises(InvalidInputError, match="alpha <= 4, got 5"):
+            to_nucleotides(line_lab)
 
 
 class TestArcLabels:
