@@ -53,10 +53,12 @@ def pevzner_arc_labels(d: Digraph, lab: Labeling) -> tuple[Digraph, Labeling]:
 def eulerian_path(d: Digraph, start: str | None = None) -> tuple[tuple[str, str], ...] | None:
     """An arc sequence using every arc exactly once, or None.
 
-    Deterministic: out-arcs are consumed in insertion order, so a fixed
-    digraph plus a fixed start vertex always spells the same string.  When
-    the degree imbalance forces a start vertex, a conflicting explicit
-    start returns None rather than a path from somewhere else.
+    Cycle splicing (Hierholzer), in time linear in the arcs.  Deterministic:
+    out-arcs are consumed in arc order, so a fixed digraph plus a fixed
+    start vertex always spells the same string.  When the degree imbalance
+    forces a start vertex, a conflicting explicit start returns None rather
+    than a path from somewhere else.  The arcs are d's name pairs, and
+    hamiltonian_path reads the vertices of L(d) at their positions.
     """
     names, tail, head = d.vertices, d._tail, d._head
     if not tail or (start is not None and start not in names):
@@ -97,29 +99,54 @@ def eulerian_path(d: Digraph, start: str | None = None) -> tuple[tuple[str, str]
 
 def count_eulerian_paths(d: Digraph, path: tuple[tuple[str, str], ...]) -> int:
     """Number of distinct Eulerian arc sequences that start where path starts,
-    counted by exhaustive backtracking and truncated at PATH_COUNT_CAP.
+    counted by backtracking and truncated at PATH_COUNT_CAP.
 
     path is an Eulerian arc sequence of d, as eulerian_path returns it.
+    Out-arcs are tried in arc order, and an arc u -> v is taken only when u
+    has no other unused out-arc or v can still reach u over unused arcs; any
+    other arc would strand u's remaining out-arcs.  So no branch ends in a
+    dead end: each path counted costs at most one reachability search per
+    arc, and the count stops at the cap.
     Reconstruction ambiguity is reported, not resolved: spelling functions
     always follow the given (deterministic) path.
     """
-    head, leaving = d._head, _out_arcs(d)
-    used: set[int] = set()
+    tail, head, leaving = d._tail, d._head, _out_arcs(d)
+    used = bytearray(len(head))
+
+    def reaches(source: int, target: int) -> bool:
+        seen, stack = {source}, [source]
+        while stack:
+            v = stack.pop()
+            if v == target:
+                return True
+            for a in leaving[v]:
+                if not used[a] and head[a] not in seen:
+                    seen.add(head[a])
+                    stack.append(head[a])
+        return False
+
     trail: list[int] = []
     # choices[i] yields the untried out-arcs at the end of trail[:i]; an
     # explicit stack, because a trail can be longer than the recursion limit
     choices = [iter(leaving[d.vertices.index(path[0][0])])]
     count = 0
     while choices and count < PATH_COUNT_CAP:
-        arc = next((a for a in choices[-1] if a not in used), None)
+        arc = None
+        for a in choices[-1]:
+            if not used[a]:
+                used[a] = 1
+                if all(map(used.__getitem__, leaving[tail[a]])) or reaches(head[a], tail[a]):
+                    arc = a
+                    break
+                used[a] = 0
         if arc is None:
             choices.pop()
             if trail:
-                used.remove(trail.pop())
+                used[trail.pop()] = 0
         elif len(trail) + 1 == len(head):
             count += 1
+            used[arc] = 0
         else:
-            used.add(arc)
             trail.append(arc)
             choices.append(iter(leaving[head[arc]]))
     return count

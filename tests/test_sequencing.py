@@ -1,5 +1,8 @@
 import io
+import itertools
+import random
 import sys
+import time
 
 import pytest
 
@@ -8,7 +11,8 @@ from dnagraph import (Digraph, InvalidInputError, Labeling, WALK_SEP, cli,
                       count_eulerian_paths, eulerian_path, format_digraph_text, format_labeling,
                       hamiltonian_path, lift_once, line_digraph, make_dicycle, pevzner_arc_labels,
                       sample_pevzner_graph, spell_eulerian, to_nucleotides)
-from dnagraph.sequencing import nucleotide_string
+from dnagraph.digraph import _out_arcs
+from dnagraph.sequencing import PATH_COUNT_CAP, nucleotide_string
 
 
 @pytest.fixture
@@ -170,6 +174,48 @@ def count_from(d, start):
     return count_eulerian_paths(d, eulerian_path(d, start))
 
 
+def backtracking_count(d, path):
+    """The reference count: plain backtracking over every unused out-arc,
+    dead ends included, truncated at the same cap."""
+    head, leaving = d._head, _out_arcs(d)
+    used: set[int] = set()
+    trail: list[int] = []
+    choices = [iter(leaving[d.vertices.index(path[0][0])])]
+    count = 0
+    while choices and count < PATH_COUNT_CAP:
+        arc = next((a for a in choices[-1] if a not in used), None)
+        if arc is None:
+            choices.pop()
+            if trail:
+                used.remove(trail.pop())
+        elif len(trail) + 1 == len(head):
+            count += 1
+        else:
+            used.add(arc)
+            trail.append(arc)
+            choices.append(iter(leaving[head[arc]]))
+    return count
+
+
+def detour_spectrum(r, k=12):
+    """The k-mer digraph of a string in which r k-mers each occur twice, the
+    two copies closing a detour: one Eulerian path.  Arcs are listed sorted,
+    as a spectrum is, and at each repeated k-mer the arc that skips its
+    detour sorts first."""
+    rng = random.Random(r)
+
+    def word(length, first, last):
+        return [first] + [rng.randint(1, 4) for _ in range(length - 2)] + [last]
+
+    text = word(8, 1, 2)
+    for _ in range(r):
+        repeat = word(k, rng.randint(1, 4), rng.randint(1, 4))
+        text += repeat + word(8, 4, 3) + repeat + word(8, 1, 2)
+    kmers = ["".join(map(str, text[i:i + k])) for i in range(len(text) - k + 1)]
+    assert len(set(kmers)) == len(kmers) - r  # only the planted repeats
+    return Digraph(dict.fromkeys(kmers), sorted(set(zip(kmers, kmers[1:]))))
+
+
 class TestPathCounting:
     def test_demo_is_unambiguous_from_ta(self):
         d, _ = sample_pevzner_graph()
@@ -192,3 +238,33 @@ class TestPathCounting:
         d = Digraph(["h", "a", "b"],
                     [("h", "a"), ("a", "h"), ("h", "b"), ("b", "h")])
         assert count_from(d, "h") == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_backtracking_reference(self, seed):
+        rng = random.Random(seed)
+        pairs = 0
+        for _ in range(250):
+            names = [f"x{i}" for i in range(rng.randint(1, 6))]
+            density = rng.random()
+            d = Digraph(names, [arc for arc in itertools.product(names, repeat=2)
+                                if rng.random() < density])
+            for start in names:
+                path = eulerian_path(d, start)
+                if path is not None:
+                    assert count_eulerian_paths(d, path) == backtracking_count(d, path), d.arcs
+                    pairs += 1
+        assert pairs > 100
+
+    def test_detours_match_backtracking_reference(self):
+        d = detour_spectrum(6)
+        path = eulerian_path(d)
+        assert count_eulerian_paths(d, path) == backtracking_count(d, path) == 1
+
+    def test_repeated_kmers_count_without_dead_ends(self):
+        # plain backtracking about doubles its time with each planted repeat
+        d = detour_spectrum(24)
+        assert (d.vertex_count, d.arc_count) == (933, 956)
+        path = eulerian_path(d)
+        start = time.perf_counter()
+        assert count_eulerian_paths(d, path) == 1
+        assert time.perf_counter() - start < 1.0
