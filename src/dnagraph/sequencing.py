@@ -114,6 +114,7 @@ def count_eulerian_paths(d: Digraph, path: tuple[tuple[str, str], ...]) -> int:
     used = bytearray(len(head))
 
     def reaches(source: int, target: int) -> bool:
+        """Whether target can be reached from source over unused arcs."""
         seen, stack = {source}, [source]
         while stack:
             v = stack.pop()
