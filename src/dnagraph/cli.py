@@ -28,22 +28,34 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _parse_file(parse, path: str):
+    """parse applied to the file at path, read one line at a time."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh)
+    except ValueError:
+        # a streamed read can meet a bad line before a bad byte, and counts a
+        # bad byte's position within its chunk: the whole text gives the
+        # error a whole-file read reports
+        return parse(_read(path))
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
-def _emit(text: str, path: str | None, out) -> None:
+def _emit(fmt, value, path: str | None, out) -> None:
+    """fmt's text of value, written to the file at path, or else to out."""
     if path is None:
-        out.write(text)
-    else:
-        _write(path, text)
+        return fmt(value, out)
+    with open(path, "w", encoding="utf-8") as fh:
+        fmt(value, fh)
 
 
 def _load_pair(args):
-    d = parse_digraph_text(_read(args.digraph))
-    lab = parse_labeling(_read(args.labeling))
-    return d, lab
+    return (_parse_file(parse_digraph_text, args.digraph),
+            _parse_file(parse_labeling, args.labeling))
 
 
 def _build(table: dict, flag: str, args):
@@ -58,7 +70,7 @@ def _build(table: dict, flag: str, args):
 
 def _cmd_gen(args, out) -> int:
     d = _build(FAMILIES, "family", args)
-    _emit(format_digraph_text(d), args.out, out)
+    _emit(format_digraph_text, d, args.out, out)
     if args.dot:
         _write(args.dot, to_dot(d))
     return 0
@@ -67,10 +79,10 @@ def _cmd_gen(args, out) -> int:
 def _cmd_label(args, out) -> int:
     result = _build(CONSTRUCTIONS, "construction", args)
     if args.out_digraph:
-        _write(args.out_digraph, format_digraph_text(result.digraph))
+        _emit(format_digraph_text, result.digraph, args.out_digraph, out)
     if args.dot:
         _write(args.dot, to_dot(result.digraph, result.labeling))
-    _emit(format_labeling(result.labeling), args.out_labeling, out)
+    _emit(format_labeling, result.labeling, args.out_labeling, out)
     return 0
 
 
@@ -78,8 +90,8 @@ def _cmd_lift(args, out) -> int:
     d, lab = _load_pair(args)
     res = lift_m(d, lab, args.m)
     if args.out_digraph:
-        _write(args.out_digraph, format_digraph_text(res.result_digraph))
-    _emit(format_labeling(res.result_labeling), args.out_labeling, out)
+        _emit(format_digraph_text, res.result_digraph, args.out_digraph, out)
+    _emit(format_labeling, res.result_labeling, args.out_labeling, out)
     return 0
 
 
@@ -94,18 +106,18 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_search(args, out) -> int:
-    d = parse_digraph_text(_read(args.digraph))
+    d = _parse_file(parse_digraph_text, args.digraph)
     cfg = SearchConfig(args.alpha, args.k, args.mode, args.budget)
     outcome = find_labeling(d, cfg)
     out.write(f"{d.vertex_count} {args.alpha} {args.k} {outcome.verdict} {outcome.nodes_explored}\n")
     if outcome.verdict == SAT and args.out_labeling:
-        _write(args.out_labeling, format_labeling(outcome.certificate))
+        _emit(format_labeling, outcome.certificate, args.out_labeling, out)
     return 0
 
 
 def _cmd_iso(args, out) -> int:
-    a = parse_digraph_text(_read(args.first))
-    b = parse_digraph_text(_read(args.second))
+    a = _parse_file(parse_digraph_text, args.first)
+    b = _parse_file(parse_digraph_text, args.second)
     result = isomorphic(a, b)
     out.write("isomorphic\n" if result else "not isomorphic\n")
     return 0 if result else 1

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import cached_property
-from itertools import chain, count, repeat
-from operator import add, mul
+from itertools import chain, count, islice, repeat
+from operator import add, eq, mul
 
 from .errors import InvalidParameterError, ResourceLimitError
 
@@ -50,8 +50,10 @@ def _first_arc_error(names: tuple[str, ...], arcs) -> None:
 
 def _check_repeats(names: tuple[str, ...], tail: list[int], head: list[int]) -> None:
     """Raise the first bad arc's error if an arc of tail[i] -> head[i] repeats."""
-    # arc t -> h has the code t*n + h, so a repeated arc is a repeated code
-    if len(set(map(add, map(mul, tail, repeat(len(names))), head))) != len(tail):
+    # arc t -> h has the code t*n + h, so a repeated arc is a repeated code;
+    # sorted, repeats sit side by side, in a third of a set's memory
+    codes = sorted(map(add, map(mul, tail, repeat(len(names))), head))
+    if any(map(eq, codes, islice(codes, 1, None))):
         _first_arc_error(names, zip(map(names.__getitem__, tail), map(names.__getitem__, head)))
 
 
@@ -320,25 +322,47 @@ def isomorphic(a: Digraph, b: Digraph) -> bool:
 # text formats
 # ---------------------------------------------------------------------------
 
-def format_digraph_text(d: Digraph) -> str:
+_BLOCK_ROWS = 4096  # rows a streamed write joins into one string
+
+
+def _lines(source):
+    """The lines of a str, or of an open text file read one line at a time;
+    both end a line wherever str.splitlines does."""
+    if isinstance(source, str):
+        return source.splitlines()
+    return chain.from_iterable(map(str.splitlines, source))
+
+
+def _join_rows(rows, out=None) -> str | None:
+    """The text of rows, each a tuple of strings; or, given the text file
+    out, write it there _BLOCK_ROWS rows at a time and return None."""
+    if out is None:
+        return "".join(chain.from_iterable(rows))
+    while block := "".join(chain.from_iterable(islice(rows, _BLOCK_ROWS))):
+        out.write(block)
+    return None
+
+
+def format_digraph_text(d: Digraph, out=None) -> str | None:
     """Plain-text format: header ``n m``, one ``tail head`` line per arc, then
-    one line per isolated vertex holding just its name."""
+    one line per isolated vertex holding just its name.  Returned, or
+    written to the text file out."""
     tail, head = d._tail, d._head
     names = d.vertices
     spaced = [v + " " for v in names]
-    # one join over the names themselves: no per-line string is ever built
-    pieces = [f"{len(names)} {len(tail)}\n"]
-    pieces += chain.from_iterable(zip(map(spaced.__getitem__, tail), map(names.__getitem__, head),
-                                      repeat("\n")))
-    for i in sorted(set(range(len(names))).difference(tail, head)):
-        pieces += (names[i], "\n")
-    return "".join(pieces)
+    isolated = sorted(set(range(len(names))).difference(tail, head))
+    # a row is the names themselves and a line end: no per-line string is ever built
+    rows = chain([(f"{len(names)} {len(tail)}\n",)],
+                 zip(map(spaced.__getitem__, tail), map(names.__getitem__, head), repeat("\n")),
+                 zip(map(names.__getitem__, isolated), repeat("\n")))
+    return _join_rows(rows, out)
 
 
-def parse_digraph_text(text: str) -> Digraph:
+def parse_digraph_text(text) -> Digraph:
+    """The digraph of a text in the format above: a str, or an open text file."""
     # one row at a time, each name numbered on first sight: no row is kept,
     # and every arc is two indices from the start
-    rows = filter(None, map(str.split, text.splitlines()))
+    rows = filter(None, map(str.split, _lines(text)))
     header = next(rows, None)
     if header is None or len(header) != 2:
         raise InvalidParameterError("digraph text must start with a header line 'n m'")

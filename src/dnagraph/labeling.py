@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import floordiv, itemgetter, mod
 
-from .digraph import Digraph, _check_names
+from .digraph import Digraph, _check_names, _join_rows, _lines
 from .errors import InvalidInputError
 
 Label = tuple[int, ...]
@@ -183,9 +183,9 @@ def find_dna_violation(d: Digraph, lab: Labeling) -> str | None:
 # text format
 # ---------------------------------------------------------------------------
 
-def format_labeling(lab: Labeling) -> str:
+def format_labeling(lab: Labeling, out=None) -> str | None:
     """Header ``alpha k`` then one ``vertex<TAB>s1 s2 ... sk`` line per vertex,
-    ordered by vertex name."""
+    ordered by vertex name.  Returned, or written to the text file out."""
     alpha, k = lab.alpha, lab.k
     names = sorted(lab.codes)
     codes = list(map(lab.codes.__getitem__, names))
@@ -196,15 +196,15 @@ def format_labeling(lab: Labeling) -> str:
     low = list(map(mod, codes, repeat(split)))
     high_text = {c: "\t%s " % " ".join(map(str, _decode(c, alpha, k - k // 2))) for c in set(high)}
     low_text = {c: "%s\n" % " ".join(map(str, _decode(c, alpha, k // 2))) for c in set(low)}
-    pieces = [f"{alpha} {k}\n"]
-    pieces += chain.from_iterable(zip(names, map(high_text.__getitem__, high),
-                                      map(low_text.__getitem__, low)))
-    return "".join(pieces)
+    rows = chain([(f"{alpha} {k}\n",)],
+                 zip(names, map(high_text.__getitem__, high), map(low_text.__getitem__, low)))
+    return _join_rows(rows, out)
 
 
-def parse_labeling(text: str) -> Labeling:
+def parse_labeling(text) -> Labeling:
+    """The labeling of a text in the format above: a str, or an open text file."""
     # a row is a name then its symbols, read as parse_digraph_text reads rows
-    rows = list(filter(None, map(str.split, text.splitlines())))
+    rows = list(filter(None, map(str.split, _lines(text))))
     if not rows:
         raise InvalidInputError("empty labeling text")
     if len(rows[0]) != 2:
