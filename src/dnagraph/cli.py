@@ -23,21 +23,18 @@ from .sequencing import (PATH_COUNT_CAP, count_eulerian_paths, eulerian_path, ha
 VERIFIERS = {"quasi": find_quasi_violation, "full": find_full_violation, "dna": find_dna_violation}
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _parse_file(parse, path: str):
-    """parse applied to the file at path, read one line at a time."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse(fh)
-    except ValueError:
-        # a streamed read can meet a bad line before a bad byte, and counts a
-        # bad byte's position within its chunk: the whole text gives the
-        # error a whole-file read reports
-        return parse(_read(path))
+    """parse applied to the file at path, read one line at a time if it can seek."""
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.seekable():  # a pipe cannot be read a second time
+            try:
+                return parse(fh)
+            except ValueError:
+                # a streamed read can meet a bad line before a bad byte, and
+                # counts a bad byte's position within its chunk: the whole
+                # text gives the error a whole-file read reports
+                fh.seek(0)
+        return parse(fh.read())
 
 
 def _write(path: str, text: str) -> None:

@@ -69,6 +69,31 @@ def test_unreadable_file_is_one_line_and_exit_2(tmp_path, monkeypatch, argv, bad
     assert not any(Path(name).exists() for name in ("out.digraph", "out.labeling"))
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe by /dev/fd")
+@pytest.mark.parametrize("flag, data, want", [
+    ("--digraph", GOOD["good.digraph"].encode(), (0, "ok: labeling is quasi-valid\n", "")),
+    ("--digraph", LATE["late.digraph"], (2, "", f"error: {ERRORS['late.digraph']}\n")),
+    ("--labeling", LATE["late.labeling"], (2, "", f"error: {ERRORS['late.labeling']}\n")),
+], ids=("good", "late-digraph", "late-labeling"))
+def test_a_pipe_is_read_once(tmp_path, monkeypatch, flag, data, want):
+    # a pipe cannot be read a second time to report the whole-file error
+    monkeypatch.chdir(tmp_path)
+    for name, text in GOOD.items():
+        Path(name).write_text(text, encoding="utf-8")
+    files = {"--digraph": "good.digraph", "--labeling": "good.labeling"}
+    read, write = os.pipe()
+    try:
+        os.write(write, data)
+        os.close(write)
+        files[flag] = f"/dev/fd/{read}"
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.main(["verify", "--digraph", files["--digraph"],
+                         "--labeling", files["--labeling"]], out=out, err=err)
+    finally:
+        os.close(read)
+    assert (code, out.getvalue(), err.getvalue()) == want
+
+
 # ---------------------------------------------------------------------------
 # streamed reads
 # ---------------------------------------------------------------------------
@@ -116,7 +141,7 @@ def test_every_splitlines_separator_ends_a_line(tmp_path, end):
         text = end.join(rows) + end
         path.write_text(text, encoding="utf-8", newline="")
         with open(path, encoding="utf-8") as fh:
-            assert list(_lines(fh)) == cli._read(path).splitlines() == list(rows)
+            assert list(_lines(fh)) == path.read_text(encoding="utf-8").splitlines() == list(rows)
         assert parse(text) == cli._parse_file(parse, path) == want
 
 
@@ -131,7 +156,7 @@ def test_a_character_split_across_the_chunk_boundary_reads_once(tmp_path, split)
     path.write_text(text, encoding="utf-8", newline="")
     with open(path, encoding="utf-8") as fh:
         assert fh._CHUNK_SIZE == 8192
-        assert list(_lines(fh)) == cli._read(path).splitlines() == text.splitlines()
+        assert list(_lines(fh)) == path.read_text(encoding="utf-8").splitlines() == text.splitlines()
     assert cli._parse_file(parse_digraph_text, path) == parse_digraph_text(text)
 
 
