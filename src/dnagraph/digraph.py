@@ -326,11 +326,13 @@ _BLOCK_ROWS = 4096  # rows a streamed write joins into one string
 
 
 def _lines(source):
-    """The lines of a str, or of an open text file read one line at a time;
-    both end a line wherever str.splitlines does."""
+    """The lines of a str, or of an open text file read some 16K characters
+    of whole lines at a time; both end a line wherever str.splitlines does."""
     if isinstance(source, str):
         return source.splitlines()
-    return chain.from_iterable(map(str.splitlines, source))
+    # one split of a block of lines builds fewer objects than one split per line
+    blocks = iter(lambda: "".join(source.readlines(1 << 14)), "")
+    return chain.from_iterable(map(str.splitlines, blocks))
 
 
 def _join_rows(rows, out=None) -> str | None:
