@@ -24,7 +24,7 @@ VERIFIERS = {"quasi": find_quasi_violation, "full": find_full_violation, "dna": 
 
 
 def _parse_file(parse, path: str):
-    """parse applied to the file at path, read one line at a time if it can seek."""
+    """parse applied to the file at path, streamed if the file can seek."""
     with open(path, "r", encoding="utf-8") as fh:
         if fh.seekable():  # a pipe cannot be read a second time
             try:

@@ -1,4 +1,4 @@
-"""The CLI's file edge: reads go line by line, writes block by block.
+"""The CLI's file edge: reads and writes go a block of lines at a time.
 
 Pinned here: the exit code and stderr of a file the CLI cannot read, that
 a streamed read parses a file as the whole text parses, that a block write
