@@ -1,7 +1,8 @@
 """Command-line entry point: generation, labeling, lifting, verification,
 search, isomorphism, sequencing, the ladder explorer, and the acceptance
 suite.  Every verb is a thin adapter over the library; identical invocations
-produce identical bytes."""
+produce identical bytes.  The search, sequencing and acceptance modules are
+imported by the verbs that run them, so the other verbs never load them."""
 
 from __future__ import annotations
 
@@ -9,16 +10,12 @@ import argparse
 import functools
 import sys
 
-from . import acceptance
 from .constructions import CONSTRUCTIONS
 from .digraph import FAMILIES, format_digraph_text, isomorphic, parse_digraph_text, to_dot
 from .errors import DnaGraphError, InvalidParameterError
 from .labeling import (find_dna_violation, find_full_violation, find_quasi_violation,
                        format_labeling, parse_labeling)
 from .lift import lift_m
-from .search import DEFAULT_NODE_BUDGET, SAT, SearchConfig, explore_conjecture, find_labeling
-from .sequencing import (PATH_COUNT_CAP, count_eulerian_paths, eulerian_path, hamiltonian_path,
-                         pevzner_arc_labels, sample_pevzner_graph, spell_eulerian, to_nucleotides)
 
 VERIFIERS = {"quasi": find_quasi_violation, "full": find_full_violation, "dna": find_dna_violation}
 
@@ -103,8 +100,11 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_search(args, out) -> int:
+    from .search import SAT, SearchConfig, find_labeling
     d = _parse_file(parse_digraph_text, args.digraph)
-    cfg = SearchConfig(args.alpha, args.k, args.mode, args.budget)
+    # without --budget, SearchConfig's own default applies
+    budget = {"node_budget": args.budget} if "budget" in args else {}
+    cfg = SearchConfig(args.alpha, args.k, args.mode, **budget)
     outcome = find_labeling(d, cfg)
     out.write(f"{d.vertex_count} {args.alpha} {args.k} {outcome.verdict} {outcome.nodes_explored}\n")
     if outcome.verdict == SAT and args.out_labeling:
@@ -121,6 +121,9 @@ def _cmd_iso(args, out) -> int:
 
 
 def _cmd_sequence(args, out) -> int:
+    from .sequencing import (PATH_COUNT_CAP, count_eulerian_paths, eulerian_path,
+                             hamiltonian_path, pevzner_arc_labels, sample_pevzner_graph,
+                             spell_eulerian, to_nucleotides)
     if args.demo:
         d, lab = sample_pevzner_graph()
     else:
@@ -158,6 +161,7 @@ def _cmd_sequence(args, out) -> int:
 
 
 def _cmd_conjecture(args, out) -> int:
+    from .search import explore_conjecture
     rows = explore_conjecture(range(args.n_min, args.n_max + 1))
     out.write(f"{'n':>3} {'alpha':>5} {'k':>3} {'verdict':<15} {'nodes':>10}\n")
     for row in rows:
@@ -166,6 +170,7 @@ def _cmd_conjecture(args, out) -> int:
 
 
 def _cmd_acceptance(args, out) -> int:
+    from . import acceptance
     ok = acceptance.run_all(write=lambda line: out.write(line + "\n"), only=args.only)
     return 0 if ok else 1
 
@@ -213,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--alpha", type=int, required=True)
     sea.add_argument("--k", type=int, required=True)
     sea.add_argument("--mode", choices=("quasi", "full"), default="quasi")
-    sea.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    sea.add_argument("--budget", type=int, default=argparse.SUPPRESS)
     sea.add_argument("--digraph", required=True)
     sea.add_argument("--out-labeling")
     sea.set_defaults(func=_cmd_search)
