@@ -322,7 +322,7 @@ def isomorphic(a: Digraph, b: Digraph) -> bool:
 # text formats
 # ---------------------------------------------------------------------------
 
-_BLOCK_ROWS = 4096  # rows a streamed write joins into one string
+_BLOCK_ROWS = 4096  # rows a streamed write joins into one string, or a read converts at once
 
 
 def _lines(source):

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import floordiv, itemgetter, mod
 
-from .digraph import Digraph, _check_names, _join_rows, _lines
+from .digraph import _BLOCK_ROWS, Digraph, _check_names, _join_rows, _lines
 from .errors import InvalidInputError
 
 Label = tuple[int, ...]
@@ -201,32 +201,56 @@ def format_labeling(lab: Labeling, out=None) -> str | None:
     return _join_rows(rows, out)
 
 
-def parse_labeling(text) -> Labeling:
-    """The labeling of a text in the format above: a str, or an open text file."""
-    # a row is a name then its symbols, read as parse_digraph_text reads rows
-    rows = list(filter(None, map(str.split, _lines(text))))
-    if not rows:
-        raise InvalidInputError("empty labeling text")
-    if len(rows[0]) != 2:
-        raise InvalidInputError("labeling text must start with a header line 'alpha k'")
-    alpha, k = int(rows[0][0]), int(rows[0][1])
-    del rows[0]
-    names = list(map(itemgetter(0), rows))
-    # distinct names, k symbols a row: if every symbol is one ASCII character,
-    # the k bytes of a row's symbols joined and translated are its code
-    if (alpha >= 1 and k >= 2 and len(set(names)) == len(names)
-            and {k + 1}.issuperset(map(len, rows))):
+def _row_codes(rows: list[list[str]], alpha: int, k: int) -> dict[str, int]:
+    """name -> code of each row (a name then its symbols), or the error of
+    the first bad row; alpha >= 1 and k >= 2."""
+    # k symbols a row: if every symbol is one ASCII character, the k bytes of
+    # a row's symbols joined and translated are its code
+    if {k + 1}.issuperset(map(len, rows)):
         words = map(str.encode, map("".join, map(itemgetter(slice(1, None)), rows)))
         try:
             words = list(map(bytes.translate, words, repeat(_DIGIT_OF_TEXT)))
             if {k}.issuperset(map(len, words)):
-                return Labeling._trusted(alpha, k, dict(zip(names, map(int, words, repeat(alpha)))))
+                return dict(zip(map(itemgetter(0), rows), map(int, words, repeat(alpha))))
         except ValueError:  # a symbol that is no digit 1..alpha, or alpha outside 2..36
             pass
     # otherwise (symbols of several characters, or an error) read row by row
-    assignment: dict[str, list[str]] = {}
-    for name, *symbols in rows:
-        if name in assignment:
+    return Labeling(alpha, k, {name: symbols for name, *symbols in rows}).codes
+
+
+def parse_labeling(text) -> Labeling:
+    """The labeling of a text in the format above: a str, or an open text file."""
+    # rows are read as parse_digraph_text reads them, and turned into codes
+    # _BLOCK_ROWS at a time: no row outlives its block
+    rows = filter(None, map(str.split, _lines(text)))
+    header = next(rows, None)
+    if header is None:
+        raise InvalidInputError("empty labeling text")
+    if len(header) != 2:
+        raise InvalidInputError("labeling text must start with a header line 'alpha k'")
+    alpha, k = int(header[0]), int(header[1])
+    # a repeated name is reported before any other error, so a bad alpha, k or
+    # row is raised only once every name has been read
+    error = None
+    try:
+        Labeling(alpha, k, {})
+    except InvalidInputError as exc:
+        error = exc
+    codes: dict[str, int | None] = {}
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        size = len(codes)
+        if error is None:
+            try:
+                codes.update(_row_codes(block, alpha, k))
+            except ValueError as exc:
+                error = exc
+        if error is not None:
+            codes.update(zip(map(itemgetter(0), block), repeat(None)))
+        if len(codes) != size + len(block):
+            seen = set(islice(codes, size))  # the names of earlier blocks
+            # set.add returns None: the first name already seen stops next
+            name = next(name for name, *_ in block if name in seen or seen.add(name))
             raise InvalidInputError(f"vertex {name} labeled twice")
-        assignment[name] = symbols
-    return Labeling(alpha, k, assignment)
+    if error is not None:
+        raise error
+    return Labeling._trusted(alpha, k, codes)

@@ -223,7 +223,9 @@ def traced_peak(argv) -> int:
 
 def test_lift_and_verify_peak_near_the_bytes_of_their_files(tmp_path, monkeypatch):
     # reading or writing a whole file as one string peaks at over 4x the
-    # bytes of the files (lift 4.2x, verify 4.6x); streamed, 2.6x and 2.8x
+    # bytes of the files (lift 4.2x, verify 4.6x); streamed, 2.5-2.7x and
+    # 2.2-2.4x on Python 3.10-3.13, and verify read 2.6-2.9x while the
+    # labeling parse kept every row's tokens until the end of the file
     monkeypatch.chdir(tmp_path)
     digraph, labeling = de_bruijn_subdigraph()
     Path("base.digraph").write_text(digraph, encoding="utf-8")
@@ -236,4 +238,4 @@ def test_lift_and_verify_peak_near_the_bytes_of_their_files(tmp_path, monkeypatc
                           "--labeling", "l4.labeling"])
     files = Path("l4.digraph").stat().st_size + Path("l4.labeling").stat().st_size
     assert files > 1_000_000
-    assert lift <= 3 * files and verify <= 3 * files, (lift, verify, files)
+    assert lift <= 3 * files and verify <= 2.5 * files, (lift, verify, files)

@@ -16,6 +16,7 @@ import pytest
 from dnagraph import (Digraph, InvalidInputError, InvalidParameterError, Labeling, WALK_SEP,
                       find_full_violation, find_quasi_violation, format_label, line_digraph,
                       parse_digraph_text, parse_labeling)
+from dnagraph import labeling
 from dnagraph.acceptance import _random_quasi_instance
 from dnagraph.digraph import _walk_join
 
@@ -283,10 +284,12 @@ def random_labeling_text(rng):
     return "\n".join(lines) + rng.choice(("", "\n", "\n\n"))
 
 
-def test_parse_labeling_matches_reference_on_random_texts():
-    rng = random.Random(4242)
+def parse_labeling_kinds(seed: int, count: int) -> set[str]:
+    """The outcomes of count random texts, each checked against the
+    reference: "ok", or the first word of the first error."""
+    rng = random.Random(seed)
     kinds = set()
-    for _ in range(3000):
+    for _ in range(count):
         text = random_labeling_text(rng)
         got = parse_outcome(parse_labeling, text)
         want = parse_outcome(reference_parse_labeling, text)
@@ -297,8 +300,22 @@ def test_parse_labeling_matches_reference_on_random_texts():
         else:
             assert got == want, text
             kinds.add(want[1].split()[0])
+    return kinds
+
+
+def test_parse_labeling_matches_reference_on_random_texts():
     # a labeling and every kind of first error occurred
-    assert kinds == {"ok", "empty", "labeling", "invalid", "vertex", "alpha", "label"}
+    assert parse_labeling_kinds(4242, 3000) == {"ok", "empty", "labeling", "invalid", "vertex",
+                                                "alpha", "label"}
+
+
+@pytest.mark.parametrize("rows", (1, 2, 3))
+def test_parse_labeling_in_blocks_matches_reference(monkeypatch, rows):
+    # a repeated name is reported before any other error, also when it comes
+    # in a later block than a bad row
+    monkeypatch.setattr(labeling, "_BLOCK_ROWS", rows)
+    assert parse_labeling_kinds(rows, 3000) == {"ok", "empty", "labeling", "invalid", "vertex",
+                                                "alpha", "label"}
 
 
 def test_parse_labeling_reads_a_row_that_starts_with_a_tab_by_its_tokens():
