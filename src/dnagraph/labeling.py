@@ -233,7 +233,7 @@ def parse_labeling(text) -> Labeling:
     # row is raised only once every name has been read
     error = None
     try:
-        Labeling(alpha, k, {})
+        Labeling(alpha, k, {})  # raises on a bad alpha or k
     except InvalidInputError as exc:
         error = exc
     codes: dict[str, int | None] = {}

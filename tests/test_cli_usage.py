@@ -64,7 +64,7 @@ def run(argv):
 
 def usage(verb: str) -> str:
     """The usage lines at the head of verb's help."""
-    code, out, err = run([verb, "--help"])
+    out = run([verb, "--help"])[1]
     return out[:out.index("\n\n") + 1]
 
 
