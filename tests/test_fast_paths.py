@@ -284,6 +284,10 @@ def random_labeling_text(rng):
     return "\n".join(lines) + rng.choice(("", "\n", "\n\n"))
 
 
+# a labeling and every kind of first error
+LABELING_OUTCOMES = {"ok", "empty", "labeling", "invalid", "vertex", "alpha", "label"}
+
+
 def parse_labeling_kinds(seed: int, count: int) -> set[str]:
     """The outcomes of count random texts, each checked against the
     reference: "ok", or the first word of the first error."""
@@ -304,9 +308,7 @@ def parse_labeling_kinds(seed: int, count: int) -> set[str]:
 
 
 def test_parse_labeling_matches_reference_on_random_texts():
-    # a labeling and every kind of first error occurred
-    assert parse_labeling_kinds(4242, 3000) == {"ok", "empty", "labeling", "invalid", "vertex",
-                                                "alpha", "label"}
+    assert parse_labeling_kinds(4242, 3000) == LABELING_OUTCOMES
 
 
 @pytest.mark.parametrize("rows", (1, 2, 3))
@@ -314,8 +316,7 @@ def test_parse_labeling_in_blocks_matches_reference(monkeypatch, rows):
     # a repeated name is reported before any other error, also when it comes
     # in a later block than a bad row
     monkeypatch.setattr(labeling, "_BLOCK_ROWS", rows)
-    assert parse_labeling_kinds(rows, 3000) == {"ok", "empty", "labeling", "invalid", "vertex",
-                                                "alpha", "label"}
+    assert parse_labeling_kinds(rows, 3000) == LABELING_OUTCOMES
 
 
 def test_parse_labeling_reads_a_row_that_starts_with_a_tab_by_its_tokens():
