@@ -34,17 +34,12 @@ def _parse_file(parse, path: str):
         return parse(fh.read())
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _emit(fmt, value, path: str | None, out) -> None:
-    """fmt's text of value, written to the file at path, or else to out."""
+def _emit(path: str | None, out, fmt, *values) -> None:
+    """fmt's text of values, written to the file at path, or else to out."""
     if path is None:
-        return fmt(value, out)
+        return fmt(*values, out=out)
     with open(path, "w", encoding="utf-8") as fh:
-        fmt(value, fh)
+        fmt(*values, out=fh)
 
 
 def _load_pair(args):
@@ -64,19 +59,19 @@ def _build(table: dict, flag: str, args):
 
 def _cmd_gen(args, out) -> int:
     d = _build(FAMILIES, "family", args)
-    _emit(format_digraph_text, d, args.out, out)
+    _emit(args.out, out, format_digraph_text, d)
     if args.dot:
-        _write(args.dot, to_dot(d))
+        _emit(args.dot, out, to_dot, d)
     return 0
 
 
 def _cmd_label(args, out) -> int:
     result = _build(CONSTRUCTIONS, "construction", args)
     if args.out_digraph:
-        _emit(format_digraph_text, result.digraph, args.out_digraph, out)
+        _emit(args.out_digraph, out, format_digraph_text, result.digraph)
     if args.dot:
-        _write(args.dot, to_dot(result.digraph, result.labeling))
-    _emit(format_labeling, result.labeling, args.out_labeling, out)
+        _emit(args.dot, out, to_dot, result.digraph, result.labeling)
+    _emit(args.out_labeling, out, format_labeling, result.labeling)
     return 0
 
 
@@ -84,8 +79,8 @@ def _cmd_lift(args, out) -> int:
     d, lab = _load_pair(args)
     res = lift_m(d, lab, args.m)
     if args.out_digraph:
-        _emit(format_digraph_text, res.result_digraph, args.out_digraph, out)
-    _emit(format_labeling, res.result_labeling, args.out_labeling, out)
+        _emit(args.out_digraph, out, format_digraph_text, res.result_digraph)
+    _emit(args.out_labeling, out, format_labeling, res.result_labeling)
     return 0
 
 
@@ -108,7 +103,7 @@ def _cmd_search(args, out) -> int:
     outcome = find_labeling(d, cfg)
     out.write(f"{d.vertex_count} {args.alpha} {args.k} {outcome.verdict} {outcome.nodes_explored}\n")
     if outcome.verdict == SAT and args.out_labeling:
-        _emit(format_labeling, outcome.certificate, args.out_labeling, out)
+        _emit(args.out_labeling, out, format_labeling, outcome.certificate)
     return 0
 
 
@@ -156,7 +151,7 @@ def _cmd_sequence(args, out) -> int:
     bound = "at least " if paths >= PATH_COUNT_CAP else ""
     out.write(f"distinct eulerian paths from this start: {bound}{paths}\n")
     if args.dot:
-        _write(args.dot, to_dot(line))
+        _emit(args.dot, out, to_dot, line)
     return 0
 
 

@@ -396,19 +396,18 @@ def parse_digraph_text(text) -> Digraph:
     return Digraph._from_indices(vertices, tail, head)
 
 
-def to_dot(d: Digraph, labeling=None) -> str:
-    """DOT export, vertex label carries the walk name and the k-mer when given."""
-    def esc(s: str) -> str:
-        return s.replace("\\", "\\\\").replace('"', '\\"')
-
-    lines = ["digraph dnagraph {"]
-    for v in d.vertices:
-        label = esc(v)
-        if labeling is not None:
-            kmer = "".join(str(s) for s in labeling.label_of(v))
-            label = f"{label}\\n{kmer}"
-        lines.append(f'  "{esc(v)}" [label="{label}"];')
-    for t, h in d.arcs:
-        lines.append(f'  "{esc(t)}" -> "{esc(h)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def to_dot(d: Digraph, labeling=None, out=None) -> str | None:
+    """DOT export, vertex label carries the walk name and the k-mer when given.
+    Returned, or written to the text file out."""
+    # rows of names and fixed pieces; the names are copied only if one needs escaping
+    names = d.vertices
+    if any("\\" in v or '"' in v for v in names):
+        names = [v.replace("\\", "\\\\").replace('"', '\\"') for v in names]
+    ends = repeat('"];\n') if labeling is None else (
+        "\\n%s\"];\n" % "".join(map(str, labeling.label_of(v))) for v in d.vertices)
+    rows = chain([("digraph dnagraph {\n",)],
+                 zip(repeat('  "'), names, repeat('" [label="'), names, ends),
+                 zip(repeat('  "'), map(names.__getitem__, d._tail), repeat('" -> "'),
+                     map(names.__getitem__, d._head), repeat('";\n')),
+                 [("}\n",)])
+    return _join_rows(rows, out)

@@ -72,6 +72,9 @@ class Labeling:
         codes: dict[str, int] = {}
         for v, raw in assignment.items():
             label = tuple(map(int, raw))
+            # a tuple of ints is its own label; other input is checked symbol by symbol
+            if label != raw and any(s != c and not isinstance(s, str) for s, c in zip(raw, label)):
+                raise InvalidInputError(f"label for {v} uses a symbol that is not an integer")
             if len(label) != k:
                 raise InvalidInputError(f"label for {v} has length {len(label)}, expected k={k}")
             code = 0

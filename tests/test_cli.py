@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+import dnagraph.lift
 import dnagraph.sequencing
 from dnagraph import (CONSTRUCTIONS, FAMILIES, Digraph, Labeling, cli, format_digraph_text,
                       format_labeling)
@@ -365,3 +366,46 @@ def test_one_parser_serves_interleaved_calls(tmp_path, capsys):
     assert [call(argv) for argv in calls] == fresh
     assert cli.build_parser() is cli.build_parser()
     assert fresh[0][0] == 2 and "usage: dnagraph search" in fresh[0][1].err
+
+
+def test_caps_exit_1_with_one_line(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for n in (13, 41):
+        run(["gen", "--family", "dicycle", "--n", str(n), "--out", f"c{n}.txt"])
+    run(["label", "--construction", "chorded-cycle", "--n", "12",
+         "--out-digraph", "c12.txt", "--out-labeling", "c12.lab"])
+    monkeypatch.setattr(dnagraph.lift, "LINE_VERTEX_CAP", 20)
+    calls = {
+        ("iso", "--first", "c13.txt", "--second", "c13.txt"):
+            "isomorphism check capped at 12 vertices",
+        ("search", "--alpha", "4", "--k", "3", "--digraph", "c41.txt"):
+            "search capped at 40 vertices",
+        ("lift", "--m", "3", "--digraph", "c12.txt", "--labeling", "c12.lab",
+         "--out-digraph", "l3.txt", "--out-labeling", "l3.lab"):
+            "next lift would create 28 vertices, cap is 20",
+    }
+    for argv, error in calls.items():
+        assert run_with_err(list(argv)) == (1, "", f"error: {error}\n")
+    assert not (tmp_path / "l3.txt").exists() and not (tmp_path / "l3.lab").exists()
+
+
+def test_sequence_without_eulerian_path(tmp_path):
+    # two disjoint 2-cycles: every vertex is balanced, but no walk spans both
+    g = tmp_path / "g.txt"
+    l = tmp_path / "l.txt"
+    g.write_text("4 4\nx y\ny x\nz w\nw z\n")
+    l.write_text("4 2\nx\t1 2\ny\t2 1\nz\t3 4\nw\t4 3\n")
+    code, out, err = run_with_err(["sequence", "--digraph", str(g), "--labeling", str(l)])
+    assert (code, err) == (1, "")
+    assert out == ("vertices:\n  x\tAC\n  y\tCA\n  z\tGT\n  w\tTG\n"
+                   "arcs:\n  x y\tACA\n  y x\tCAC\n  z w\tGTG\n  w z\tTGT\n"
+                   "no eulerian path\n")
+
+
+def test_search_on_the_empty_digraph(tmp_path):
+    g = tmp_path / "g.txt"
+    l = tmp_path / "l.txt"
+    g.write_text("0 0\n")
+    argv = ["search", "--alpha", "4", "--k", "3", "--digraph", str(g), "--out-labeling", str(l)]
+    assert run_with_err(argv) == (0, "0 4 3 SAT 0\n", "")
+    assert l.read_text() == "4 3\n"

@@ -266,6 +266,12 @@ class TestTextFormats:
         assert '"v3" -> "v1";' in dot
         assert to_dot(d).count("->") == 3
 
+    def test_dot_escapes_quotes_and_backslashes(self):
+        d = Digraph(['a"b', "c\\d", "e"], [('a"b', "c\\d"), ("c\\d", "e")])
+        assert to_dot(d) == ('digraph dnagraph {\n  "a\\"b" [label="a\\"b"];\n'
+                             '  "c\\\\d" [label="c\\\\d"];\n  "e" [label="e"];\n'
+                             '  "a\\"b" -> "c\\\\d";\n  "c\\\\d" -> "e";\n}\n')
+
 
 def test_family_generators_are_pinned():
     # every FAMILIES generator over a grid of parameters, including the ones

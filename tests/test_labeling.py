@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,17 @@ class TestLabelingType:
     def test_rejects_wrong_length(self):
         with pytest.raises(InvalidInputError):
             Labeling(3, 3, {"a": (1, 2)})
+
+    @pytest.mark.parametrize("raw", [(1.9, 2.2), (1, 2.5), [Fraction(3, 2), 2]])
+    def test_rejects_a_symbol_that_is_not_a_whole_number(self, raw):
+        # int() alone would store (1.9, 2.2) as the label (1, 2)
+        with pytest.raises(InvalidInputError,
+                           match="^label for a uses a symbol that is not an integer$"):
+            Labeling(4, 2, {"a": raw})
+
+    @pytest.mark.parametrize("raw", [(1, 2), [1, 2], (True, 2), ("1", "2"), "12", (1.0, 2)])
+    def test_keeps_whole_symbols(self, raw):
+        assert Labeling(4, 2, {"a": raw}).label_of("a") == (1, 2)
 
     def test_rejects_an_int_label_at_once(self):
         # an int is no symbol sequence: nothing is built from its value first
