@@ -21,18 +21,18 @@ _HOME = {name: module for module, names in (
     ("constructions", "CHORDED_STRINGS CONSTRUCTIONS ConstructionResult label_chorded_cycle "
                       "label_double_cycle label_infinity_c3 label_infinity_even "
                       "label_infinity_odd label_propeller label_windmill"),
-    ("digraph", "FAMILIES Digraph WALK_SEP chords_of format_digraph_text isomorphic "
+    ("digraph", "FAMILIES Digraph WALK_SEP format_digraph_text isomorphic "
                 "line_digraph make_chorded_cycle make_dicycle make_dipath make_infinity "
                 "make_ladder make_propeller3 make_windmill parse_digraph_text to_dot"),
     ("errors", "ConstructionFailure DnaGraphError InvalidInputError InvalidParameterError "
                "ResourceLimitError UnsupportedParameterError"),
     ("labeling", "Label Labeling find_dna_violation find_full_violation find_quasi_violation "
                  "format_label format_labeling overlap_merge parse_labeling"),
-    ("lift", "LiftedLabeling lift_m lift_once"),
+    ("lift", "lift_m lift_once"),
     ("search", "BUDGET_EXCEEDED ConjectureRow SAT SearchConfig SearchOutcome UNSAT "
                "check_middle_vertex_lemma explore_conjecture find_labeling"),
     ("sequencing", "NUCLEOTIDES count_eulerian_paths eulerian_path hamiltonian_path "
-                   "pevzner_arc_labels sample_pevzner_graph spell_eulerian to_nucleotides"),
+                   "sample_pevzner_graph spell_eulerian to_nucleotides"),
 ) for name in names.split()}
 
 __all__ = sorted(_HOME)

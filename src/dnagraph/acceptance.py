@@ -24,8 +24,7 @@ from .labeling import (Labeling, find_dna_violation, find_full_violation,
 from .lift import lift_m, lift_once
 from .search import (SAT, UNSAT, SearchConfig, check_middle_vertex_lemma, explore_conjecture,
                      find_labeling)
-from .sequencing import (eulerian_path, hamiltonian_path, pevzner_arc_labels,
-                         sample_pevzner_graph, spell_eulerian)
+from .sequencing import eulerian_path, hamiltonian_path, sample_pevzner_graph, spell_eulerian
 
 
 # golden rows restated independently of the constructions module
@@ -101,10 +100,14 @@ def criterion_chorded_lift() -> str:
 def criterion_chorded_triple_lift() -> str:
     """Three lifts of the n=12 fixture certify a DNA graph with k=6, growing each step."""
     res = label_chorded_cycle(12)
-    out = lift_m(res.digraph, res.labeling, 3)
-    _check(out.result_labeling.k == 6, out.result_labeling.k)
-    _check(find_dna_violation(out.result_digraph, out.result_labeling) is None)
-    counts = out.vertex_counts
+    stages = [(res.digraph, res.labeling)]
+    for _ in range(3):
+        stages.append(lift_once(*stages[-1]))
+    _check(lift_m(res.digraph, res.labeling, 3) == stages[-1])
+    lifted, lifted_lab = stages[-1]
+    _check(lifted_lab.k == 6, lifted_lab.k)
+    _check(find_dna_violation(lifted, lifted_lab) is None)
+    counts = tuple(d.vertex_count for d, _ in stages)
     _check(all(a < b for a, b in zip(counts, counts[1:])), counts)
     return f"vertex counts {counts}, k=6, certified"
 
@@ -186,13 +189,13 @@ def criterion_small_chain() -> str:
     second-lift label sets, with both lifts full."""
     res = label_infinity_even(4, 5)
     _check(_label_set(res.labeling) == GOLDEN_C4C5)
-    one = lift_m(res.digraph, res.labeling, 1)
-    _check(_label_set(one.result_labeling) == GOLDEN_LIFT1_C4C5)
-    _check(find_full_violation(one.result_digraph, one.result_labeling) is None)
-    two = lift_m(res.digraph, res.labeling, 2)
-    _check(_label_set(two.result_labeling) == GOLDEN_LIFT2_C4C5)
-    _check(find_full_violation(two.result_digraph, two.result_labeling) is None)
-    return f"base 8, lift 9, double lift {two.result_digraph.vertex_count} labels, all exact"
+    one, one_lab = lift_m(res.digraph, res.labeling, 1)
+    _check(_label_set(one_lab) == GOLDEN_LIFT1_C4C5)
+    _check(find_full_violation(one, one_lab) is None)
+    two, two_lab = lift_m(res.digraph, res.labeling, 2)
+    _check(_label_set(two_lab) == GOLDEN_LIFT2_C4C5)
+    _check(find_full_violation(two, two_lab) is None)
+    return f"base 8, lift 9, double lift {two.vertex_count} labels, all exact"
 
 
 def criterion_ladder_iso() -> str:
@@ -270,7 +273,7 @@ def criterion_sbh_pipeline() -> str:
     path = eulerian_path(d, start="TA")
     _check(path is not None)
     _check(spell_eulerian(lab, path) == "TACGACTA")
-    line, line_lab = pevzner_arc_labels(d, lab)
+    line, line_lab = lift_once(d, lab)
     walks = hamiltonian_path(d, line, path)
     # the walk names restated from the path's arcs, not read off L(d)
     _check(walks == tuple(_walk_join(tail, head) for tail, head in path))

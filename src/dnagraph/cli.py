@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .constructions import CONSTRUCTIONS
@@ -15,7 +16,7 @@ from .digraph import FAMILIES, format_digraph_text, isomorphic, parse_digraph_te
 from .errors import DnaGraphError, InvalidParameterError
 from .labeling import (find_dna_violation, find_full_violation, find_quasi_violation,
                        format_labeling, parse_labeling)
-from .lift import lift_m
+from .lift import lift_m, lift_once
 
 VERIFIERS = {"quasi": find_quasi_violation, "full": find_full_violation, "dna": find_dna_violation}
 
@@ -77,10 +78,10 @@ def _cmd_label(args, out) -> int:
 
 def _cmd_lift(args, out) -> int:
     d, lab = _load_pair(args)
-    res = lift_m(d, lab, args.m)
+    lifted, lifted_lab = lift_m(d, lab, args.m)
     if args.out_digraph:
-        _emit(args.out_digraph, out, format_digraph_text, res.result_digraph)
-    _emit(args.out_labeling, out, format_labeling, res.result_labeling)
+        _emit(args.out_digraph, out, format_digraph_text, lifted)
+    _emit(args.out_labeling, out, format_labeling, lifted_lab)
     return 0
 
 
@@ -117,8 +118,8 @@ def _cmd_iso(args, out) -> int:
 
 def _cmd_sequence(args, out) -> int:
     from .sequencing import (PATH_COUNT_CAP, count_eulerian_paths, eulerian_path,
-                             hamiltonian_path, pevzner_arc_labels, sample_pevzner_graph,
-                             spell_eulerian, to_nucleotides)
+                             hamiltonian_path, sample_pevzner_graph, spell_eulerian,
+                             to_nucleotides)
     if args.demo:
         d, lab = sample_pevzner_graph()
     else:
@@ -129,7 +130,7 @@ def _cmd_sequence(args, out) -> int:
         raise InvalidParameterError(f"start vertex {args.start} is not in the digraph")
     # these raise on bad input, so they run before anything is written
     names = to_nucleotides(lab)
-    line, line_lab = pevzner_arc_labels(d, lab)
+    line, line_lab = lift_once(d, lab)
     merged = to_nucleotides(line_lab)
     out.write("vertices:\n")
     for v in d.vertices:
@@ -244,12 +245,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, out=None, err=None) -> int:
-    """Run one verb; results go to out, each error as one line to err."""
+    """Run one verb; results go to out, each error as one line to err.  A
+    reader that closes out early gets no error line and exit code 141."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        out.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader stopped early, so nothing is wrong
+        if out is sys.stdout:
+            # later writes to stdout, the flush at exit among them, go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, what a shell reports for a writer the pipe killed
     except (OSError, ValueError) as exc:  # bad input, InvalidInputError included
         err.write(f"error: {exc}\n")
         return 2

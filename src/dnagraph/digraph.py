@@ -181,11 +181,6 @@ def middle_vertices(d: Digraph) -> list[list[int]]:
             for t, h in zip(tail, head)]
 
 
-def chords_of(d: Digraph) -> tuple[tuple[str, str], ...]:
-    """Arcs of d whose endpoints are joined by a directed 2-path (the chords)."""
-    return tuple(arc for arc, middle in zip(d.arcs, middle_vertices(d)) if middle)
-
-
 def make_infinity(n: int, p: int) -> Digraph:
     """Two dicycles C_n and C_p glued at one vertex (the second of each).
 

@@ -4,7 +4,8 @@ Numeric labels translate to nucleotide strings (1, 2, 3, 4 -> A, C, G, T).
 In the Pevzner view the k-mers sit on vertices and the target string is
 spelled by an Eulerian path; its line digraph is the Lysov view, where the
 merged (k+1)-mers sit on vertices and the same string is spelled by the
-corresponding Hamiltonian path.
+corresponding Hamiltonian path.  lift.lift_once builds that view: the
+(k+1)-mer on each arc is the label the lift gives its line vertex.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from collections import Counter
 
 from .digraph import Digraph, _out_arcs
 from .errors import InvalidInputError
-from .labeling import Label, Labeling, find_quasi_violation
-from .lift import _merge_line
+from .labeling import Label, Labeling
 
 NUCLEOTIDES = {1: "A", 2: "C", 3: "G", 4: "T"}
 
@@ -35,15 +35,6 @@ def to_nucleotides(lab: Labeling) -> dict[str, str]:
     if lab.alpha > 4:
         raise InvalidInputError(f"nucleotide rendering needs alpha <= 4, got {lab.alpha}")
     return {v: nucleotide_string(label) for v, label in lab.assignment.items()}
-
-
-def pevzner_arc_labels(d: Digraph, lab: Labeling) -> tuple[Digraph, Labeling]:
-    """L(d), its vertex i labeled by the (k+1)-mer that the lift's merge puts on
-    arc i of d: the Pevzner arc labels are the Lysov vertex labels."""
-    bad = find_quasi_violation(d, lab)
-    if bad is not None:
-        raise InvalidInputError(f"arc labels need a quasi-valid labeling: {bad}")
-    return _merge_line(d, lab, list(map(lab.codes.__getitem__, d.vertices)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
+import contextlib
 import io
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dnagraph.labeling
 import dnagraph.lift
-import dnagraph.sequencing
 from dnagraph import (CONSTRUCTIONS, FAMILIES, Digraph, Labeling, cli, format_digraph_text,
-                      format_labeling)
+                      format_labeling, line_digraph, sample_pevzner_graph)
+from test_cli_usage import VERBS
 
 
 def run_with_err(argv):
@@ -213,17 +218,28 @@ def test_sequence_demo_spells_target():
 
 
 def test_sequence_checks_the_labeling_once(monkeypatch):
+    # every quasi check runs _quasi: the lift's input check is the one check
+    # of D, and the lift's full self-check reads L(D)
     calls = []
-    check = dnagraph.sequencing.find_quasi_violation
+    check = dnagraph.labeling._quasi
 
     def counting(d, lab):
         calls.append(d)
         return check(d, lab)
 
-    monkeypatch.setattr(dnagraph.sequencing, "find_quasi_violation", counting)
+    for module in (dnagraph.labeling, dnagraph.lift):
+        monkeypatch.setattr(module, "_quasi", counting)
     code, out = run(["sequence", "--demo", "--start", "TA"])
     assert code == 0 and "spectrum (line digraph): TACGACTA" in out
-    assert len(calls) == 1
+    d, _ = sample_pevzner_graph()
+    assert calls == [d, line_digraph(d)]
+
+
+def test_sequence_checks_the_lifted_labels(corrupt_trusted_labelings):
+    code, out, err = run_with_err(["sequence", "--demo", "--start", "TA"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: lifted labeling is not full (library bug):")
+    assert err.count("\n") == 1
 
 
 def test_sequence_requires_input():
@@ -243,7 +259,7 @@ def test_sequence_unknown_start_is_usage_error():
     ("x\t1 2\ny\t2 3\nz\t3 1\nw\t4 4\n",
      "labeling is not total over the digraph (missing=[], extra=['w'])"),
     ("x\t1 2\ny\t2 3\nz\t3 4\n",
-     "arc labels need a quasi-valid labeling: arc z -> x: suffix 4 does not match prefix 1"),
+     "lift needs a quasi-valid labeling: arc z -> x: suffix 4 does not match prefix 1"),
 ])
 def test_sequence_bad_labeling_writes_nothing(tmp_path, labels, error):
     g = tmp_path / "cycle.txt"
@@ -409,3 +425,65 @@ def test_search_on_the_empty_digraph(tmp_path):
     argv = ["search", "--alpha", "4", "--k", "3", "--digraph", str(g), "--out-labeling", str(l)]
     assert run_with_err(argv) == (0, "0 4 3 SAT 0\n", "")
     assert l.read_text() == "4 3\n"
+
+
+# one call per verb, each writing to stdout; the files are made by the label call
+STDOUT_CALLS = {
+    "gen": ["gen", "--family", "dicycle", "--n", "4"],
+    "label": ["label", "--construction", "chorded-cycle", "--n", "6"],
+    "lift": ["lift", "--m", "1", "--digraph", "g.txt", "--labeling", "l.txt"],
+    "verify": ["verify", "--digraph", "g.txt", "--labeling", "l.txt"],
+    "search": ["search", "--alpha", "4", "--k", "3", "--digraph", "g.txt"],
+    "iso": ["iso", "--first", "g.txt", "--second", "g.txt"],
+    "sequence": ["sequence", "--demo", "--start", "TA"],
+    "conjecture": ["conjecture", "--n-min", "2", "--n-max", "2"],
+    "acceptance": ["acceptance", "--only", "sbh-pipeline"],
+}
+
+
+@pytest.fixture(scope="module")
+def closed_pipe():
+    """The write end of a pipe whose read end is closed."""
+    read, write = os.pipe()
+    os.close(read)
+    yield write
+    os.close(write)
+
+
+def test_every_verb_writes_to_stdout():
+    assert tuple(STDOUT_CALLS) == VERBS
+
+
+@pytest.mark.parametrize("verb", STDOUT_CALLS)
+def test_closed_reader_is_not_an_error(tmp_path, monkeypatch, closed_pipe, verb):
+    monkeypatch.chdir(tmp_path)
+    assert run(["label", "--construction", "chorded-cycle", "--n", "6",
+                "--out-digraph", "g.txt", "--out-labeling", "l.txt"]) == (0, "")
+    out = open(closed_pipe, "w", encoding="utf-8", closefd=False)
+    err = io.StringIO()
+    code = cli.main(STDOUT_CALLS[verb], out=out, err=err)
+    with contextlib.suppress(BrokenPipeError):
+        out.close()  # the text the pipe refused is still buffered
+    assert (code, err.getvalue()) == (141, "")
+
+
+# calls main on a real stdout, then writes to it once more
+LATER_WRITE = """
+import sys
+from dnagraph import cli
+code = cli.main(sys.argv[1:])
+print("after main")
+sys.exit(code)
+"""
+
+
+def test_closed_stdout_is_not_an_error(tmp_path):
+    # sys.stdout is a pipe only in a process of its own; once main has met the
+    # closed reader, later writes to stdout, such as the flush at exit, go nowhere
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    argv = [sys.executable, "-c", LATER_WRITE, "gen", "--family", "dicycle", "--n", "50000"]
+    with subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"50000 50000\n"
+        proc.stdout.close()
+        assert (proc.wait(), proc.stderr.read()) == (141, b"")

@@ -4,10 +4,16 @@ import itertools
 import pytest
 
 from dnagraph import (FAMILIES, Digraph, InvalidParameterError, ResourceLimitError,
-                      chords_of, format_digraph_text, isomorphic,
+                      format_digraph_text, isomorphic,
                       line_digraph, make_chorded_cycle, make_dicycle, make_dipath,
                       make_infinity, make_ladder, make_propeller3, make_windmill,
                       parse_digraph_text, to_dot)
+from dnagraph.digraph import middle_vertices
+
+
+def chords_of(d):
+    """Arcs of d whose endpoints are joined by a directed 2-path (the chords)."""
+    return tuple(arc for arc, middle in zip(d.arcs, middle_vertices(d)) if middle)
 
 
 def degrees(d, v):

@@ -57,9 +57,9 @@ def test_package_parses_at_the_oldest_supported_python():
 EXPORTS = [
     "BUDGET_EXCEEDED", "CHORDED_STRINGS", "CONSTRUCTIONS", "ConjectureRow", "ConstructionFailure",
     "ConstructionResult", "Digraph", "DnaGraphError", "FAMILIES", "InvalidInputError",
-    "InvalidParameterError", "Label", "Labeling", "LiftedLabeling", "NUCLEOTIDES",
+    "InvalidParameterError", "Label", "Labeling", "NUCLEOTIDES",
     "ResourceLimitError", "SAT", "SearchConfig", "SearchOutcome", "UNSAT",
-    "UnsupportedParameterError", "WALK_SEP", "check_middle_vertex_lemma", "chords_of",
+    "UnsupportedParameterError", "WALK_SEP", "check_middle_vertex_lemma",
     "count_eulerian_paths", "eulerian_path", "explore_conjecture", "find_dna_violation",
     "find_full_violation", "find_labeling", "find_quasi_violation", "format_digraph_text",
     "format_label", "format_labeling", "hamiltonian_path", "isomorphic",
@@ -67,7 +67,7 @@ EXPORTS = [
     "label_infinity_odd", "label_propeller", "label_windmill", "lift_m", "lift_once",
     "line_digraph", "make_chorded_cycle", "make_dicycle", "make_dipath", "make_infinity",
     "make_ladder", "make_propeller3", "make_windmill", "overlap_merge", "parse_digraph_text",
-    "parse_labeling", "pevzner_arc_labels", "sample_pevzner_graph", "spell_eulerian", "to_dot",
+    "parse_labeling", "sample_pevzner_graph", "spell_eulerian", "to_dot",
     "to_nucleotides",
 ]
 

@@ -67,18 +67,15 @@ def test_rejects_non_quasi_input():
 
 def test_lift_m_one_equals_lift_once():
     res = label_infinity_even(4, 5)
-    once = lift_once(res.digraph, res.labeling)
-    out = lift_m(res.digraph, res.labeling, 1)
-    assert out.result_digraph == once[0]
-    assert out.result_labeling == once[1]
+    assert lift_m(res.digraph, res.labeling, 1) == lift_once(res.digraph, res.labeling)
 
 
 def test_lift_m_three_certifies():
     res = label_chorded_cycle(12)
-    out = lift_m(res.digraph, res.labeling, 3)
-    assert out.result_labeling.k == 6
-    assert out.vertex_counts == (12, 16, 20, 28)
-    assert find_dna_violation(out.result_digraph, out.result_labeling) is None
+    lifted, lab = lift_m(res.digraph, res.labeling, 3)
+    assert lab.k == 6
+    assert (res.digraph.vertex_count, lifted.vertex_count) == (12, 28)
+    assert find_dna_violation(lifted, lab) is None
 
 
 def test_lift_m_zero_rejected():
@@ -100,8 +97,7 @@ def test_lift_m_is_repeated_lift_once():
     assert first_d == line_digraph(res.digraph)
     assert find_quasi_violation(first_d, first_lab) is None
     second = lift_once(first_d, first_lab)
-    out = lift_m(res.digraph, res.labeling, 2)
-    assert (out.result_digraph, out.result_labeling) == second
+    assert lift_m(res.digraph, res.labeling, 2) == second
 
 
 def test_stage_vertex_count_equals_predecessor_arc_count():
@@ -111,9 +107,8 @@ def test_stage_vertex_count_equals_predecessor_arc_count():
         stages.append(lift_once(*stages[-1]))
     for (before, _), (after, _) in zip(stages, stages[1:]):
         assert after.vertex_count == before.arc_count
-    out = lift_m(res.digraph, res.labeling, 3)
-    assert out.vertex_counts == tuple(d.vertex_count for d, _ in stages)
-    assert out.result_labeling.k == res.labeling.k + 3
+    assert lift_m(res.digraph, res.labeling, 3) == stages[-1]
+    assert stages[-1][1].k == res.labeling.k + 3
 
 
 def test_full_implies_quasi_on_lift_output():

@@ -5,12 +5,13 @@ import pytest
 
 from dnagraph import (BUDGET_EXCEEDED, ConstructionFailure, Digraph, InvalidParameterError,
                       Labeling, ResourceLimitError, SAT, SearchConfig, UNSAT,
-                      check_middle_vertex_lemma, chords_of, eulerian_path, explore_conjecture,
+                      check_middle_vertex_lemma, eulerian_path, explore_conjecture,
                       find_full_violation, find_labeling, find_quasi_violation,
                       format_digraph_text, isomorphic, label_chorded_cycle, make_chorded_cycle,
                       make_dicycle, make_dipath, make_ladder, parse_digraph_text,
                       sample_pevzner_graph, search)
 from dnagraph.labeling import _decode
+from test_digraph import chords_of
 
 
 def both_orders(d, cfg):

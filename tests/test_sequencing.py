@@ -9,7 +9,7 @@ import pytest
 import dnagraph.sequencing
 from dnagraph import (Digraph, InvalidInputError, Labeling, WALK_SEP, cli,
                       count_eulerian_paths, eulerian_path, format_digraph_text, format_labeling,
-                      hamiltonian_path, lift_once, line_digraph, make_dicycle, pevzner_arc_labels,
+                      hamiltonian_path, lift_once, line_digraph, make_dicycle,
                       sample_pevzner_graph, spell_eulerian, to_nucleotides)
 from dnagraph.digraph import _out_arcs
 from dnagraph.sequencing import PATH_COUNT_CAP, nucleotide_string
@@ -52,7 +52,7 @@ class TestNucleotides:
         # a valid quasi-(5,2) labeling that uses the symbol 5
         d = make_dicycle(3)
         lab = Labeling(5, 2, {"v1": (1, 5), "v2": (5, 2), "v3": (2, 1)})
-        line, line_lab = pevzner_arc_labels(d, lab)
+        line, line_lab = lift_once(d, lab)
         with pytest.raises(InvalidInputError, match="needs symbols 1..4, got 5"):
             nucleotide_string((1, 5))
         with pytest.raises(InvalidInputError, match="got 5"):
@@ -64,8 +64,7 @@ class TestNucleotides:
 class TestArcLabels:
     def test_demo_arc_merges(self, demo):
         d, lab = demo
-        line, line_lab = pevzner_arc_labels(d, lab)
-        assert (line, line_lab) == lift_once(d, lab)
+        line, line_lab = lift_once(d, lab)
         merged = to_nucleotides(line_lab)
         arcs = {arc: merged[walk] for arc, walk in zip(d.arcs, line.vertices)}
         assert arcs[("TA", "AC")] == "TAC"
@@ -75,8 +74,8 @@ class TestArcLabels:
     def test_requires_quasi(self):
         d = make_dicycle(3)
         broken = Labeling(2, 2, {"v1": (1, 1), "v2": (2, 2), "v3": (2, 1)})
-        with pytest.raises(InvalidInputError):
-            pevzner_arc_labels(d, broken)
+        with pytest.raises(InvalidInputError, match="lift needs a quasi-valid labeling"):
+            lift_once(d, broken)
 
 
 class TestEulerianPath:
@@ -124,7 +123,7 @@ def sequence_lines(argv):
 
 
 def demo_walks(d, lab):
-    line, _ = pevzner_arc_labels(d, lab)
+    line, _ = lift_once(d, lab)
     return line, hamiltonian_path(d, line, eulerian_path(d, start="TA"))
 
 
