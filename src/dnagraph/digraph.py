@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import cached_property
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, filterfalse, islice, repeat
 from operator import add, eq, mul
 
 from .errors import InvalidParameterError, ResourceLimitError
@@ -346,11 +346,19 @@ def format_digraph_text(d: Digraph, out=None) -> str | None:
     written to the text file out."""
     tail, head = d._tail, d._head
     names = d.vertices
-    spaced = [v + " " for v in names]
-    isolated = sorted(set(range(len(names))).difference(tail, head))
-    # a row is the names themselves and a line end: no per-line string is ever built
-    rows = chain([(f"{len(names)} {len(tail)}\n",)],
-                 zip(map(spaced.__getitem__, tail), map(names.__getitem__, head), repeat("\n")),
+    n = len(names)
+    # a vertex is isolated iff it is no arc's endpoint: the vertices are
+    # scanned only if some are, and only that scan keeps the endpoints while
+    # the rows are written
+    ends = set(tail)
+    ends.update(head)
+    isolated = filterfalse(ends.__contains__, range(n)) if len(ends) < n else ()
+    del ends
+    # a row is the names themselves, a space and a line end: no per-line or
+    # per-name string is ever built
+    rows = chain([(f"{n} {len(tail)}\n",)],
+                 zip(map(names.__getitem__, tail), repeat(" "), map(names.__getitem__, head),
+                     repeat("\n")),
                  zip(map(names.__getitem__, isolated), repeat("\n")))
     return _join_rows(rows, out)
 

@@ -2,24 +2,28 @@
 
 Pinned here: the exit code and stderr of a file the CLI cannot read, that
 a streamed read parses a file as the whole text parses, that a block write
-gives the bytes of the whole text, and that a lift and a verify stay within
-a few times the bytes of their files.
+gives the bytes of the whole text, that a lift and a verify stay within
+a few times the bytes of their files, and that the digraph writer and the
+verifiers hold little beyond their inputs.
 """
 
 import io
 import itertools
 import os
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from dnagraph import (Digraph, Labeling, cli, format_digraph_text, format_labeling,
-                      make_dicycle, parse_digraph_text, parse_labeling, to_dot)
+from dnagraph import (Digraph, Labeling, cli, find_full_violation, find_quasi_violation,
+                      format_digraph_text, format_labeling, make_dicycle, parse_digraph_text,
+                      parse_labeling, to_dot)
 from dnagraph.digraph import _BLOCK_ROWS, _lines
+from dnagraph.lift import lift_m
 
-from test_fast_paths import parse_outcome, random_digraph_text, random_labeling_text
+from test_fast_paths import parse_outcome
 
 GOOD = {"good.digraph": "3 3\nx y\ny z\nz x\n", "good.labeling": "3 2\nx\t1 2\ny\t2 3\nz\t3 1\n"}
 # a bad line, then a byte that is no UTF-8: a whole-file read reports the byte
@@ -98,20 +102,15 @@ def test_a_pipe_is_read_once(tmp_path, monkeypatch, flag, data, want):
 # streamed reads
 # ---------------------------------------------------------------------------
 
-PARSERS = ((parse_digraph_text, random_digraph_text, 2024),
-           (parse_labeling, random_labeling_text, 4242))
-
-
-@pytest.mark.parametrize("parse, texts, seed", PARSERS, ids=("digraph", "labeling"))
-def test_file_reader_matches_whole_text_parse(tmp_path, parse, texts, seed):
+@pytest.mark.parametrize("parse, kind", ((parse_digraph_text, "digraph"),
+                                         (parse_labeling, "labeling")), ids=("digraph", "labeling"))
+def test_file_reader_matches_whole_text_parse(tmp_path, random_texts, parse, kind):
     # each text goes to the file as is, its line ends untranslated, in place:
     # truncating a file to nothing and rewriting it costs far more
-    rng = random.Random(seed)
     path = tmp_path / "input.txt"
     fd = os.open(path, os.O_RDWR | os.O_CREAT)
     try:
-        for _ in range(3000):
-            text = texts(rng)
+        for text in random_texts[kind]:
             for end in ("\n", "\r\n", "\r"):
                 written = text.replace("\n", end)
                 data = written.encode()
@@ -211,34 +210,81 @@ def de_bruijn_subdigraph():
             "4 3\n" + "".join(f"{w}\t{' '.join(w)}\n" for w in words))
 
 
-def traced_peak(argv) -> int:
-    out = io.StringIO()
+def traced_peak(call) -> tuple:
+    """call()'s result, and the peak of the memory traced while it runs."""
     tracemalloc.start()
     try:
-        assert cli.main(argv, out=out) == 0, out.getvalue()
-        return tracemalloc.get_traced_memory()[1]
+        return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def cli_peak(argv) -> int:
+    out = io.StringIO()
+    code, peak = traced_peak(lambda: cli.main(argv, out=out))
+    assert code == 0, out.getvalue()
+    return peak
+
+
 def test_lift_and_verify_peak_near_the_bytes_of_their_files(tmp_path, monkeypatch):
     # reading or writing a whole file as one string peaks at over 4x the
-    # bytes of the files (lift 4.2x, verify 4.6x); streamed, 2.5-2.7x and
-    # 2.2-2.4x on Python 3.10-3.13, and verify read 2.6-2.9x while the
-    # labeling parse kept every row's tokens until the end of the file
+    # bytes of the files (lift 4.2x, verify 4.6x at m = 4); streamed,
+    # 2.5-2.7x and 2.2-2.4x on Python 3.10-3.13, and verify read 2.6-2.9x
+    # while the labeling parse kept every row's tokens until the end of the
+    # file.  At m = 4 the verify peak is the labeling parse.  At m = 5 a
+    # writer that copied every name and verifiers that kept a set of every
+    # code read 2.29x and 1.96x on Python 3.11; writing from the names and
+    # sorting the codes, 1.65x and 1.66x
     monkeypatch.chdir(tmp_path)
     digraph, labeling = de_bruijn_subdigraph()
     Path("base.digraph").write_text(digraph, encoding="utf-8")
     Path("base.labeling").write_text(labeling, encoding="utf-8")
     cli.build_parser()
-    lift = traced_peak(["lift", "--m", "4", "--digraph", "base.digraph",
-                        "--labeling", "base.labeling", "--out-digraph", "l4.digraph",
-                        "--out-labeling", "l4.labeling"])
-    verify = traced_peak(["verify", "--mode", "dna", "--digraph", "l4.digraph",
-                          "--labeling", "l4.labeling"])
-    files = Path("l4.digraph").stat().st_size + Path("l4.labeling").stat().st_size
-    assert files > 1_000_000
-    assert lift <= 3 * files and verify <= 2.5 * files, (lift, verify, files)
+    for m, lift_bound, verify_bound in ((4, 3, 2.5), (5, 2.0, 1.8)):
+        lifted = (f"l{m}.digraph", f"l{m}.labeling")
+        lift = cli_peak(["lift", "--m", str(m), "--digraph", "base.digraph",
+                         "--labeling", "base.labeling", "--out-digraph", lifted[0],
+                         "--out-labeling", lifted[1]])
+        verify = cli_peak(["verify", "--mode", "dna", "--digraph", lifted[0],
+                           "--labeling", lifted[1]])
+        files = sum(Path(name).stat().st_size for name in lifted)
+        assert files > 1_000_000
+        assert lift <= lift_bound * files, (m, lift, files)
+        assert verify <= verify_bound * files, (m, verify, files)
+
+
+@pytest.fixture(scope="module")
+def lifted_five_times() -> tuple[Digraph, Labeling]:
+    digraph, labeling = de_bruijn_subdigraph()
+    d, lab = lift_m(parse_digraph_text(digraph), parse_labeling(labeling), 5)
+    assert (d.vertex_count, d.arc_count) == (20_073, 63_643)
+    return d, lab
+
+
+@pytest.mark.parametrize("verify, bound", ((find_full_violation, 64), (find_quasi_violation, 48)),
+                         ids=("full", "quasi"))
+def test_verifier_peaks_at_a_few_bytes_a_vertex(lifted_five_times, verify, bound):
+    # a set of every code, and a prefix and a suffix list, peaked at 139
+    # bytes a vertex in both verifiers; the sorted codes and streamed counts
+    # peak at 39 (full) and 17 (quasi) on Python 3.11
+    d, lab = lifted_five_times
+    bad, peak = traced_peak(lambda: verify(d, lab))
+    assert bad is None
+    assert peak <= bound * d.vertex_count, peak / d.vertex_count
+
+
+def test_digraph_writer_peaks_below_twice_its_names(lifted_five_times, tmp_path):
+    # copying every name with a space after it, and a set of every vertex
+    # index, peaked at 2.66x the bytes of the names; writing from the names
+    # themselves, 1.09x on Python 3.11
+    d, _ = lifted_five_times
+    path = tmp_path / "out.digraph"
+    with open(path, "w", encoding="utf-8") as fh:
+        written, peak = traced_peak(lambda: format_digraph_text(d, fh))
+    assert written is None
+    assert path.read_bytes() == format_digraph_text(d).encode()
+    names = sum(map(sys.getsizeof, d.vertices))
+    assert peak <= 2 * names, peak / names
 
 
 def test_to_dot_streams_below_half_its_bytes(tmp_path):
@@ -249,12 +295,8 @@ def test_to_dot_streams_below_half_its_bytes(tmp_path):
                           for i, v in enumerate(d.vertices)})
     plain, labeled = tmp_path / "plain.dot", tmp_path / "labeled.dot"
     with open(plain, "w", encoding="utf-8") as fh:
-        tracemalloc.start()
-        try:
-            assert to_dot(d, None, fh) is None
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        written, peak = traced_peak(lambda: to_dot(d, None, fh))
+        assert written is None
     with open(labeled, "w", encoding="utf-8") as fh:
         to_dot(d, lab, fh)
     assert peak < plain.stat().st_size / 2, peak

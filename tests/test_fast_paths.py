@@ -214,6 +214,12 @@ def random_digraph_text(rng):
     return "\n".join(lines) + rng.choice(("", "\n", "\n\n"))
 
 
+def seeded_texts(make, seed, count=3000):
+    """count texts of make, drawn from one generator seeded with seed."""
+    rng = random.Random(seed)
+    return [make(rng) for _ in range(count)]
+
+
 def parse_outcome(parse, text):
     try:
         d = parse(text)
@@ -222,11 +228,9 @@ def parse_outcome(parse, text):
     return d
 
 
-def test_parse_matches_reference_on_random_texts():
-    rng = random.Random(2024)
+def test_parse_matches_reference_on_random_texts(random_texts):
     kinds = set()
-    for _ in range(3000):
-        text = random_digraph_text(rng)
+    for text in random_texts["digraph"]:
         got = parse_outcome(parse_digraph_text, text)
         want = parse_outcome(reference_parse_digraph_text, text)
         if isinstance(want, Digraph):
@@ -243,9 +247,7 @@ def test_parse_matches_reference_on_random_texts():
 
 
 def test_line_digraph_from_indices_equals_one_from_name_pairs():
-    rng = random.Random(99)
-    for _ in range(300):
-        text = random_digraph_text(rng)
+    for text in seeded_texts(random_digraph_text, 99, 300):
         if not isinstance(parse_outcome(reference_parse_digraph_text, text), Digraph):
             continue
         for d in (parse_digraph_text(text), reference_parse_digraph_text(text)):
@@ -288,13 +290,11 @@ def random_labeling_text(rng):
 LABELING_OUTCOMES = {"ok", "empty", "labeling", "invalid", "vertex", "alpha", "label"}
 
 
-def parse_labeling_kinds(seed: int, count: int) -> set[str]:
-    """The outcomes of count random texts, each checked against the
-    reference: "ok", or the first word of the first error."""
-    rng = random.Random(seed)
+def parse_labeling_kinds(texts) -> set[str]:
+    """The outcomes of the texts, each checked against the reference: "ok",
+    or the first word of the first error."""
     kinds = set()
-    for _ in range(count):
-        text = random_labeling_text(rng)
+    for text in texts:
         got = parse_outcome(parse_labeling, text)
         want = parse_outcome(reference_parse_labeling, text)
         if isinstance(want, Labeling):
@@ -307,8 +307,8 @@ def parse_labeling_kinds(seed: int, count: int) -> set[str]:
     return kinds
 
 
-def test_parse_labeling_matches_reference_on_random_texts():
-    assert parse_labeling_kinds(4242, 3000) == LABELING_OUTCOMES
+def test_parse_labeling_matches_reference_on_random_texts(random_texts):
+    assert parse_labeling_kinds(random_texts["labeling"]) == LABELING_OUTCOMES
 
 
 @pytest.mark.parametrize("rows", (1, 2, 3))
@@ -316,7 +316,7 @@ def test_parse_labeling_in_blocks_matches_reference(monkeypatch, rows):
     # a repeated name is reported before any other error, also when it comes
     # in a later block than a bad row
     monkeypatch.setattr(labeling, "_BLOCK_ROWS", rows)
-    assert parse_labeling_kinds(rows, 3000) == LABELING_OUTCOMES
+    assert parse_labeling_kinds(seeded_texts(random_labeling_text, rows)) == LABELING_OUTCOMES
 
 
 def test_parse_labeling_reads_a_row_that_starts_with_a_tab_by_its_tokens():
