@@ -44,8 +44,10 @@ def _emit(path: str | None, out, fmt, *values) -> None:
 
 
 def _load_pair(args):
-    return (_parse_file(parse_digraph_text, args.digraph),
-            _parse_file(parse_labeling, args.labeling))
+    """The digraph and the labeling the files name; the labeling's keys are
+    the digraph's own name strings."""
+    d = _parse_file(parse_digraph_text, args.digraph)
+    return d, _parse_file(functools.partial(parse_labeling, names=d.vertices), args.labeling)
 
 
 def _build(table: dict, flag: str, args):

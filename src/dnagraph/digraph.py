@@ -118,10 +118,11 @@ class Digraph:
         return f"Digraph(|V|={self.vertex_count}, |A|={self.arc_count})"
 
 
-def _out_arcs(d: Digraph) -> list[list[int]]:
-    """The arcs leaving each vertex, by vertex index, in arc order."""
+def _out_arcs(d: Digraph, ids=None) -> list[list[int]]:
+    """The arcs leaving each vertex, by vertex index, in arc order; arc i is
+    the int object ids[i] if ids is given, so a caller can share those ints."""
     leaving: list[list[int]] = [[] for _ in d.vertices]
-    for arc, t in enumerate(d._tail):
+    for arc, t in zip(count() if ids is None else ids, d._tail):
         leaving[t].append(arc)
     return leaving
 
@@ -258,10 +259,12 @@ def line_digraph(d: Digraph) -> Digraph:
     if len(set(walks)) != len(walks):
         # only names holding WALK_SEP can make two walks read alike
         raise InvalidParameterError("duplicate vertex name in vertex set")
-    leaving = _out_arcs(d)
+    # one int object for each arc id, in both index lists of L(d)
+    ids = list(range(len(tail)))
+    leaving = _out_arcs(d, ids)
     line_tail: list[int] = []
     line_head: list[int] = []
-    for arc, h in enumerate(head):
+    for arc, h in zip(ids, head):
         successors = leaving[h]
         line_tail += [arc] * len(successors)
         line_head += successors
@@ -395,6 +398,7 @@ def parse_digraph_text(text) -> Digraph:
     if len(index) != n:
         raise InvalidParameterError(f"header says {n} vertices, file names {len(index)}")
     vertices = tuple(index)
+    del index  # the arc codes _check_repeats sorts need the room
     _check_repeats(vertices, tail, head)
     return Digraph._from_indices(vertices, tail, head)
 

@@ -206,9 +206,11 @@ def format_labeling(lab: Labeling, out=None) -> str | None:
     return _join_rows(rows, out)
 
 
-def _row_codes(rows: list[list[str]], alpha: int, k: int) -> dict[str, int]:
-    """name -> code of each row (a name then its symbols), or the error of
-    the first bad row; alpha >= 1 and k >= 2."""
+def _row_codes(rows: list[list[str]], alpha: int, k: int, own: dict[str, str]):
+    """(name, code) of each row (a name then its symbols), in row order, a
+    name that is a key of own given as own's string; or the error of the
+    first bad row.  alpha >= 1 and k >= 2; a name repeated within the rows
+    may come once."""
     # k symbols a row: if every symbol is one ASCII character, the k bytes of
     # a row's symbols joined and translated are its code
     if {k + 1}.issuperset(map(len, rows)):
@@ -216,17 +218,23 @@ def _row_codes(rows: list[list[str]], alpha: int, k: int) -> dict[str, int]:
         try:
             words = list(map(bytes.translate, words, repeat(_DIGIT_OF_TEXT)))
             if {k}.issuperset(map(len, words)):
-                return dict(zip(map(itemgetter(0), rows), map(int, words, repeat(alpha))))
+                names, codes = list(map(itemgetter(0), rows)), list(map(int, words, repeat(alpha)))
+                return zip(map(own.get, names, names), codes)
         except ValueError:  # a symbol that is no digit 1..alpha, or alpha outside 2..36
             pass
     # otherwise (symbols of several characters, or an error) read row by row
-    return Labeling(alpha, k, {name: symbols for name, *symbols in rows}).codes
+    codes = Labeling(alpha, k, {name: symbols for name, *symbols in rows}).codes
+    return zip(map(own.get, codes, codes), codes.values())
 
 
-def parse_labeling(text) -> Labeling:
-    """The labeling of a text in the format above: a str, or an open text file."""
+def parse_labeling(text, names=()) -> Labeling:
+    """The labeling of a text in the format above: a str, or an open text file.
+
+    A vertex whose name is among names is keyed by that string of names, so
+    a labeling read for a digraph holds the digraph's names, not a copy."""
     # rows are read as parse_digraph_text reads them, and turned into codes
     # _BLOCK_ROWS at a time: no row outlives its block
+    own = dict(zip(names, names))
     rows = filter(None, map(str.split, _lines(text)))
     header = next(rows, None)
     if header is None:
@@ -246,7 +254,7 @@ def parse_labeling(text) -> Labeling:
         size = len(codes)
         if error is None:
             try:
-                codes.update(_row_codes(block, alpha, k))
+                codes.update(_row_codes(block, alpha, k, own))
             except ValueError as exc:
                 error = exc
         if error is not None:
@@ -256,6 +264,7 @@ def parse_labeling(text) -> Labeling:
             # set.add returns None: the first name already seen stops next
             name = next(name for name, *_ in block if name in seen or seen.add(name))
             raise InvalidInputError(f"vertex {name} labeled twice")
+        del block  # two blocks of rows are never held at once
     if error is not None:
         raise error
     return Labeling._trusted(alpha, k, codes)

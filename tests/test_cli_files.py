@@ -7,8 +7,10 @@ a few times the bytes of their files, and that the digraph writer and the
 verifiers hold little beyond their inputs.
 """
 
+import argparse
 import io
 import itertools
+import operator
 import os
 import random
 import sys
@@ -17,11 +19,12 @@ from pathlib import Path
 
 import pytest
 
+import dnagraph.lift
 from dnagraph import (Digraph, Labeling, cli, find_full_violation, find_quasi_violation,
-                      format_digraph_text, format_labeling, make_dicycle, parse_digraph_text,
-                      parse_labeling, to_dot)
+                      format_digraph_text, format_labeling, line_digraph, make_dicycle,
+                      parse_digraph_text, parse_labeling, to_dot)
 from dnagraph.digraph import _BLOCK_ROWS, _lines
-from dnagraph.lift import lift_m
+from dnagraph.lift import lift_m, line_vertex_counts
 
 from test_fast_paths import parse_outcome
 
@@ -234,13 +237,15 @@ def test_lift_and_verify_peak_near_the_bytes_of_their_files(tmp_path, monkeypatc
     # file.  At m = 4 the verify peak is the labeling parse.  At m = 5 a
     # writer that copied every name and verifiers that kept a set of every
     # code read 2.29x and 1.96x on Python 3.11; writing from the names and
-    # sorting the codes, 1.65x and 1.66x
+    # sorting the codes, 1.57-1.67x and 1.54-1.69x on Python 3.10-3.13.  A
+    # labeling keyed by the digraph's names, read one block at a time, and
+    # a lift that keeps one int per arc id, read 1.43-1.49x and 1.25-1.39x
     monkeypatch.chdir(tmp_path)
     digraph, labeling = de_bruijn_subdigraph()
     Path("base.digraph").write_text(digraph, encoding="utf-8")
     Path("base.labeling").write_text(labeling, encoding="utf-8")
     cli.build_parser()
-    for m, lift_bound, verify_bound in ((4, 3, 2.5), (5, 2.0, 1.8)):
+    for m, lift_bound, verify_bound in ((4, 3, 2.5), (5, 1.55, 1.45)):
         lifted = (f"l{m}.digraph", f"l{m}.labeling")
         lift = cli_peak(["lift", "--m", str(m), "--digraph", "base.digraph",
                          "--labeling", "base.labeling", "--out-digraph", lifted[0],
@@ -251,6 +256,57 @@ def test_lift_and_verify_peak_near_the_bytes_of_their_files(tmp_path, monkeypatc
         assert files > 1_000_000
         assert lift <= lift_bound * files, (m, lift, files)
         assert verify <= verify_bound * files, (m, verify, files)
+
+
+def test_verify_keys_the_labeling_by_the_digraph_names(tmp_path):
+    digraph, labeling = de_bruijn_subdigraph()
+    paths = tmp_path / "base.digraph", tmp_path / "base.labeling"
+    paths[0].write_text(digraph, encoding="utf-8")
+    paths[1].write_text(labeling, encoding="utf-8")
+    d, lab = cli._load_pair(argparse.Namespace(digraph=str(paths[0]), labeling=str(paths[1])))
+    assert lab == parse_labeling(labeling) and d.vertex_count == 64
+    assert all(map(operator.is_, lab.codes, sorted(d.vertices)))
+
+
+def test_over_cap_lift_is_refused_before_anything_is_built(tmp_path, monkeypatch):
+    # the seventh lift of the subdigraph would have 201,749 vertices
+    monkeypatch.chdir(tmp_path)
+    digraph, labeling = de_bruijn_subdigraph()
+    Path("base.digraph").write_text(digraph, encoding="utf-8")
+    Path("base.labeling").write_text(labeling, encoding="utf-8")
+    # vertex 112 takes the label of 111: a repeated label
+    Path("bad.labeling").write_text(labeling.replace("112\t1 1 2", "112\t1 1 1"),
+                                    encoding="utf-8")
+
+    def refuse(d):
+        raise AssertionError("a line digraph was built")
+
+    monkeypatch.setattr(dnagraph.lift, "line_digraph", refuse)
+    argv = ["lift", "--m", "7", "--digraph", "base.digraph", "--out-digraph", "l7.digraph",
+            "--out-labeling", "l7.labeling", "--labeling"]
+    bad = find_quasi_violation(parse_digraph_text(digraph), parse_labeling(
+        Path("bad.labeling").read_text(encoding="utf-8")))
+    for labels, want in (("base.labeling", (1, "", "error: next lift would create 201749 "
+                                                    "vertices, cap is 100000\n")),
+                         ("bad.labeling", (2, "", f"error: lift needs a quasi-valid labeling: "
+                                                  f"{bad}\n"))):
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.main(argv + [labels], out=out, err=err)
+        assert (code, out.getvalue(), err.getvalue()) == want
+    assert bad.startswith("vertices 111 and 112 share label 111")
+    assert not any(Path(name).exists() for name in ("l7.digraph", "l7.labeling"))
+
+
+def test_predicted_vertex_counts_on_the_subdigraph():
+    d = parse_digraph_text(de_bruijn_subdigraph()[0])
+    predicted = line_vertex_counts(d, 9)
+    built = []
+    for _ in range(5):
+        d = line_digraph(d)
+        built.append(d.vertex_count)
+    assert predicted[:5] == built and built[-1] == 20_073
+    # the count stops at the first level over the cap
+    assert predicted[5:] == [63_643, 201_749]
 
 
 @pytest.fixture(scope="module")

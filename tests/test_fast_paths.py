@@ -311,6 +311,24 @@ def test_parse_labeling_matches_reference_on_random_texts(random_texts):
     assert parse_labeling_kinds(random_texts["labeling"]) == LABELING_OUTCOMES
 
 
+@pytest.mark.parametrize("rows", (labeling._BLOCK_ROWS, 1))
+def test_parse_labeling_with_names_matches_the_plain_parse(monkeypatch, random_texts, rows):
+    # names built at run time, one of them in no text; a key that is a name
+    # is that name's string, and the labeling and every error are unchanged,
+    # also when every row is a block of its own
+    monkeypatch.setattr(labeling, "_BLOCK_ROWS", rows)
+    names = [f"x{i}" for i in range(7)] + [f"x0{WALK_SEP}x1"]
+    given_string = dict(zip(names, names))
+    shared = 0
+    for text in random_texts["labeling"]:
+        got = parse_outcome(lambda text: parse_labeling(text, names=names), text)
+        assert got == parse_outcome(parse_labeling, text), text
+        if isinstance(got, Labeling):
+            assert all(v is given_string[v] for v in got.codes), text
+            shared += len(got.codes)
+    assert shared > 300
+
+
 @pytest.mark.parametrize("rows", (1, 2, 3))
 def test_parse_labeling_in_blocks_matches_reference(monkeypatch, rows):
     # a repeated name is reported before any other error, also when it comes

@@ -11,6 +11,18 @@ from dnagraph import (Digraph, InvalidInputError, InvalidParameterError, Labelin
 from dnagraph.labeling import _decode
 
 
+# the first error of each text, as the tuple-label reader reported it
+FIRST_ERRORS = [
+    ("12 2\na\t1 2\nb\t1 0\n", InvalidInputError, "label for b uses symbols outside 1..12"),
+    ("12 2\na\t1 13\n", InvalidInputError, "label for a uses symbols outside 1..12"),
+    ("12 2\na\t1 2\nb\tx 1\n", ValueError, "invalid literal for int() with base 10: 'x'"),
+    ("12 2\na\t1.0 1\n", ValueError, "invalid literal for int() with base 10: '1.0'"),
+    ("12 3\na\t1 2 3\nb\t1 2\n", InvalidInputError, "label for b has length 2, expected k=3"),
+    ("12 2\na\t1 2\na\t2 1\n", InvalidInputError, "vertex a labeled twice"),
+    ("12 2\na\t1 2\nb\t12 0 x\n", ValueError, "invalid literal for int() with base 10: 'x'"),
+]
+
+
 def cycle_labeling(alpha, labels):
     d = make_dicycle(len(labels))
     return d, Labeling(alpha, len(labels[0]), {f"v{i+1}": lab for i, lab in enumerate(labels)})
@@ -181,20 +193,30 @@ class TestTextFormat:
         assert parse_labeling(text) == lab
         assert parse_labeling(text).label_of("c") == (12, 1, 10)
 
-    # the first error of each text, as the tuple-label reader reported it
-    @pytest.mark.parametrize("text, error, message", [
-        ("12 2\na\t1 2\nb\t1 0\n", InvalidInputError, "label for b uses symbols outside 1..12"),
-        ("12 2\na\t1 13\n", InvalidInputError, "label for a uses symbols outside 1..12"),
-        ("12 2\na\t1 2\nb\tx 1\n", ValueError, "invalid literal for int() with base 10: 'x'"),
-        ("12 2\na\t1.0 1\n", ValueError, "invalid literal for int() with base 10: '1.0'"),
-        ("12 3\na\t1 2 3\nb\t1 2\n", InvalidInputError, "label for b has length 2, expected k=3"),
-        ("12 2\na\t1 2\na\t2 1\n", InvalidInputError, "vertex a labeled twice"),
-        ("12 2\na\t1 2\nb\t12 0 x\n", ValueError, "invalid literal for int() with base 10: 'x'"),
-    ])
+    @pytest.mark.parametrize("text, error, message", FIRST_ERRORS)
     def test_first_error_is_pinned(self, text, error, message):
         with pytest.raises(error) as exc:
             parse_labeling(text)
         assert type(exc.value) is error and str(exc.value) == message
+
+    def test_given_names_key_the_labeling_and_change_nothing_else(self):
+        texts = [text for text, _, _ in FIRST_ERRORS]
+        texts += ["2 2\nx\t1 1\nx \t1 2\n", "oops\n", "", "12 3\nab\t10 11 12\nb\t11 12 1\n",
+                  format_labeling(label_chorded_cycle(9).labeling)]
+        # names built at run time: a key of two or more characters is one of
+        # them only if the parse took it from names
+        names = ["".join(chars) for chars in ("a", "ab", "v1", "v10", "x")]
+        given_string = dict(zip(names, names))
+        for text in texts:
+            outcomes = []
+            for given in ((), names):
+                try:
+                    outcomes.append(parse_labeling(text, names=given))
+                except ValueError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], text
+            if isinstance(outcomes[1], Labeling):
+                assert all(v is given_string[v] for v in outcomes[1].codes if v in names), text
 
 
 @pytest.mark.parametrize("alpha", [2, 3, 4, 5, 12])

@@ -1,17 +1,20 @@
 import hashlib
 import io
+import itertools
 import random
 
 import pytest
 
 import dnagraph.lift
-from dnagraph import (ConstructionFailure, InvalidInputError, InvalidParameterError,
-                      Labeling, ResourceLimitError, WALK_SEP, find_dna_violation,
+from dnagraph import (CONSTRUCTIONS, ConstructionFailure, Digraph, InvalidInputError,
+                      InvalidParameterError, Labeling, ResourceLimitError,
+                      UnsupportedParameterError, WALK_SEP, find_dna_violation,
                       find_full_violation, find_quasi_violation, format_label,
                       label_chorded_cycle, label_infinity_even, lift_m, lift_once,
-                      line_digraph, make_dicycle, overlap_merge)
+                      line_digraph, make_chorded_cycle, make_dicycle, overlap_merge)
 from dnagraph.acceptance import _random_quasi_instance, _small_fixtures
 from dnagraph.cli import main
+from dnagraph.lift import line_vertex_counts
 
 
 def test_single_arc_merge():
@@ -89,6 +92,58 @@ def test_lift_m_vertex_cap(monkeypatch):
     res = label_chorded_cycle(12)
     with pytest.raises(ResourceLimitError):
         lift_m(res.digraph, res.labeling, 3)
+
+
+def catalogue_results():
+    """Every catalogue construction whose parameters each lie in 3..9."""
+    for required, make in CONSTRUCTIONS.values():
+        for params in itertools.product(range(3, 10), repeat=len(required)):
+            try:
+                yield make(*params)
+            except (InvalidParameterError, UnsupportedParameterError):
+                pass
+
+
+def test_predicted_vertex_counts_equal_the_built_ones():
+    tags = set()
+    for res in catalogue_results():
+        d, built = res.digraph, []
+        for _ in range(3):
+            d = line_digraph(d)
+            built.append(d.vertex_count)
+        assert line_vertex_counts(res.digraph, 3) == built, res
+        tags.add(res.tag)
+    assert tags == set(CONSTRUCTIONS)
+
+
+def test_chorded_cycle_counts_follow_their_closed_form():
+    # a chord every third vertex: 4n/3 arcs, then 5n/3 and 7n/3 walks
+    for n in range(6, 61, 3):
+        assert line_vertex_counts(make_chorded_cycle(n), 3) == [4 * n // 3, 5 * n // 3,
+                                                                 7 * n // 3], n
+
+
+def test_over_cap_refusal_comes_before_walk_names(monkeypatch):
+    # two arcs of this digraph would both be named a→b→c in L(d), which
+    # level one would refuse; level two is over the cap, so no level is built
+    monkeypatch.setattr(dnagraph.lift, "LINE_VERTEX_CAP", 6)
+    d = Digraph(["a", "b→c", "a→b", "c", "d"],
+                [("a", "b→c"), ("a→b", "c"), ("c", "a"), ("b→c", "a→b"), ("a", "d"),
+                 ("d", "b→c")])
+    lab = Labeling(4, 2, {"a": (1, 2), "b→c": (2, 3), "a→b": (3, 4), "c": (4, 1), "d": (2, 2)})
+    with pytest.raises(InvalidParameterError, match="duplicate vertex name"):
+        line_digraph(d)
+    with pytest.raises(ResourceLimitError, match="^next lift would create 7 vertices, cap is 6$"):
+        lift_m(d, lab, 2)
+
+
+def test_lift_m_checks_each_count_against_the_prediction(monkeypatch):
+    monkeypatch.setattr(dnagraph.lift, "line_vertex_counts",
+                        lambda d, m: [count + 1 for count in line_vertex_counts(d, m)])
+    res = label_chorded_cycle(12)
+    with pytest.raises(ConstructionFailure,
+                       match=r"^lift built 16 vertices, 17 predicted \(library bug\)$"):
+        lift_m(res.digraph, res.labeling, 2)
 
 
 def test_lift_m_is_repeated_lift_once():
