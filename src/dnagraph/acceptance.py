@@ -19,6 +19,7 @@ from .constructions import (label_chorded_cycle, label_double_cycle, label_infin
                             label_windmill)
 from .digraph import (Digraph, _walk_join, isomorphic, line_digraph, make_chorded_cycle,
                       make_infinity, make_ladder)
+from .errors import DnaGraphError
 from .labeling import (Labeling, find_dna_violation, find_full_violation,
                        find_quasi_violation, format_label)
 from .lift import lift_m, lift_once
@@ -377,7 +378,7 @@ def run_all(write=print, only: str | None = None) -> bool:
     for crit in selected:
         try:
             detail = crit.run()
-        except AssertionError as exc:
+        except (AssertionError, DnaGraphError) as exc:
             all_ok = False
             write(f"FAIL  {crit.ident:24s}  {crit.summary} [{exc}]")
         else:

@@ -231,7 +231,8 @@ def parse_labeling(text, names=()) -> Labeling:
     """The labeling of a text in the format above: a str, or an open text file.
 
     A vertex whose name is among names is keyed by that string of names, so
-    a labeling read for a digraph holds the digraph's names, not a copy."""
+    a labeling read for a digraph holds the digraph's names, not a copy.  The
+    first bad or repeated row is raised, before a later block is read."""
     # rows are read as parse_digraph_text reads them, and turned into codes
     # _BLOCK_ROWS at a time: no row outlives its block
     own = dict(zip(names, names))
@@ -242,29 +243,20 @@ def parse_labeling(text, names=()) -> Labeling:
     if len(header) != 2:
         raise InvalidInputError("labeling text must start with a header line 'alpha k'")
     alpha, k = int(header[0]), int(header[1])
-    # a repeated name is reported before any other error, so a bad alpha, k or
-    # row is raised only once every name has been read
-    error = None
-    try:
-        Labeling(alpha, k, {})  # raises on a bad alpha or k
-    except InvalidInputError as exc:
-        error = exc
-    codes: dict[str, int | None] = {}
+    Labeling(alpha, k, {})  # raises on a bad alpha or k
+    codes: dict[str, int] = {}
     while block := list(islice(rows, _BLOCK_ROWS)):
         size = len(codes)
-        if error is None:
-            try:
-                codes.update(_row_codes(block, alpha, k, own))
-            except ValueError as exc:
-                error = exc
-        if error is not None:
-            codes.update(zip(map(itemgetter(0), block), repeat(None)))
+        try:
+            codes.update(_row_codes(block, alpha, k, own))
+        except ValueError:
+            pass
         if len(codes) != size + len(block):
             seen = set(islice(codes, size))  # the names of earlier blocks
-            # set.add returns None: the first name already seen stops next
-            name = next(name for name, *_ in block if name in seen or seen.add(name))
-            raise InvalidInputError(f"vertex {name} labeled twice")
+            for name, *symbols in block:
+                if name in seen:
+                    raise InvalidInputError(f"vertex {name} labeled twice")
+                seen.add(name)
+                Labeling(alpha, k, {name: symbols})
         del block  # two blocks of rows are never held at once
-    if error is not None:
-        raise error
     return Labeling._trusted(alpha, k, codes)

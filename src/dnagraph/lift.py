@@ -74,9 +74,7 @@ def lift_m(d: Digraph, lab: Labeling, m: int) -> tuple[Digraph, Labeling]:
         raise InvalidParameterError("lift count m must be >= 1")
     counts = line_vertex_counts(d, m)
     if counts[-1] > LINE_VERTEX_CAP:
-        if len(counts) > 1:
-            # the steps below the refused one would have checked the input
-            _check_quasi(d, lab)
+        _check_quasi(d, lab)  # a bad labeling is reported before the cap
         raise ResourceLimitError(
             f"next lift would create {counts[-1]} vertices, cap is {LINE_VERTEX_CAP}")
     for count in counts:

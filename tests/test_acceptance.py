@@ -4,6 +4,7 @@ Each case prints one PASS line (visible with -v or -s); a failure carries
 the criterion's own diagnosis.
 """
 
+import io
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dnagraph import acceptance
+from dnagraph import ConstructionFailure, acceptance, cli
 from dnagraph.acceptance import CRITERIA, Criterion
 
 
@@ -26,14 +27,31 @@ def test_run_all_reports_pass_and_fail(monkeypatch):
     def broken():
         raise AssertionError("stub diagnosis")
 
+    def library_bug():
+        raise ConstructionFailure("stub library bug")
+
     monkeypatch.setattr(acceptance, "CRITERIA", (
         Criterion("stub-pass", "always passes", lambda: "fine"),
         Criterion("stub-fail", "always fails", broken),
+        Criterion("stub-bug", "raises a library error", library_bug),
+        Criterion("stub-after", "runs after the library error", lambda: "still run"),
     ))
     lines = []
     assert acceptance.run_all(write=lines.append) is False
-    assert [line.split()[:2] for line in lines] == [["PASS", "stub-pass"], ["FAIL", "stub-fail"]]
+    assert [line.split()[:2] for line in lines] == [["PASS", "stub-pass"], ["FAIL", "stub-fail"],
+                                                    ["FAIL", "stub-bug"], ["PASS", "stub-after"]]
     assert lines[0].endswith("(fine)") and lines[1].endswith("[stub diagnosis]")
+    assert lines[2].endswith("[stub library bug]") and lines[3].endswith("(still run)")
+
+
+def test_a_library_error_fails_its_criterion_and_the_rest_run(corrupt_trusted_labelings):
+    # every lift's self-check raises ConstructionFailure under this fixture
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.main(["acceptance"], out=out, err=err) == 1
+    lines = out.getvalue().splitlines()
+    assert [line.split()[1] for line in lines] == [c.ident for c in CRITERIA]
+    assert [line.split()[0] for line in lines].count("PASS") == 6
+    assert err.getvalue() == ""
 
 
 def test_checks_run_under_optimize():

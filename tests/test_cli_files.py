@@ -297,6 +297,21 @@ def test_over_cap_lift_is_refused_before_anything_is_built(tmp_path, monkeypatch
     assert not any(Path(name).exists() for name in ("l7.digraph", "l7.labeling"))
 
 
+def test_a_bad_labeling_comes_before_the_cap_of_the_first_level(tmp_path, monkeypatch):
+    # L(C3) has 3 vertices, over a cap of 2; y and z share a label
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(dnagraph.lift, "LINE_VERTEX_CAP", 2)
+    Path("c3.digraph").write_text(GOOD["good.digraph"], encoding="utf-8")
+    Path("c3.labeling").write_text("3 2\nx\t1 2\ny\t2 3\nz\t2 3\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(["lift", "--m", "1", "--digraph", "c3.digraph", "--labeling", "c3.labeling",
+                     "--out-digraph", "l1.digraph", "--out-labeling", "l1.labeling"],
+                    out=out, err=err)
+    assert (code, out.getvalue(), err.getvalue()) == (
+        2, "", "error: lift needs a quasi-valid labeling: vertices y and z share label 23\n")
+    assert not any(Path(name).exists() for name in ("l1.digraph", "l1.labeling"))
+
+
 def test_predicted_vertex_counts_on_the_subdigraph():
     d = parse_digraph_text(de_bruijn_subdigraph()[0])
     predicted = line_vertex_counts(d, 9)

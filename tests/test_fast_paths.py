@@ -78,6 +78,7 @@ def reference_parse_labeling(text):
     if len(header) != 2:
         raise InvalidInputError("labeling text must start with a header line 'alpha k'")
     alpha, k = int(header[0]), int(header[1])
+    Labeling(alpha, k, {})
     assignment = {}
     for row in rows[1:]:
         name, _, symbols = row.partition("\t")
@@ -88,6 +89,7 @@ def reference_parse_labeling(text):
         if name in assignment:
             raise InvalidInputError(f"vertex {name} labeled twice")
         assignment[name] = symbols.split()
+        Labeling(alpha, k, {name: assignment[name]})
     return Labeling(alpha, k, assignment)
 
 
@@ -331,8 +333,8 @@ def test_parse_labeling_with_names_matches_the_plain_parse(monkeypatch, random_t
 
 @pytest.mark.parametrize("rows", (1, 2, 3))
 def test_parse_labeling_in_blocks_matches_reference(monkeypatch, rows):
-    # a repeated name is reported before any other error, also when it comes
-    # in a later block than a bad row
+    # the first bad or repeated row in text order is reported, also when a
+    # later block holds the other fault
     monkeypatch.setattr(labeling, "_BLOCK_ROWS", rows)
     assert parse_labeling_kinds(seeded_texts(random_labeling_text, rows)) == LABELING_OUTCOMES
 

@@ -20,6 +20,12 @@ FIRST_ERRORS = [
     ("12 3\na\t1 2 3\nb\t1 2\n", InvalidInputError, "label for b has length 2, expected k=3"),
     ("12 2\na\t1 2\na\t2 1\n", InvalidInputError, "vertex a labeled twice"),
     ("12 2\na\t1 2\nb\t12 0 x\n", ValueError, "invalid literal for int() with base 10: 'x'"),
+    # two faults: the first one read is raised
+    ("12 2\na\t1 0\na\t2 1\n", InvalidInputError, "label for a uses symbols outside 1..12"),
+    ("0 2\na\t1 1\na\t1 1\n", InvalidInputError, "alpha must be a positive integer"),
+    ("12 2\na\t1 2\nb\tx 1\nc\t1 1\na\t2 2\n", ValueError,
+     "invalid literal for int() with base 10: 'x'"),
+    ("12 2\na\t1 2\na\t2 1\nb\t1 0\n", InvalidInputError, "vertex a labeled twice"),
 ]
 
 
@@ -198,6 +204,23 @@ class TestTextFormat:
         with pytest.raises(error) as exc:
             parse_labeling(text)
         assert type(exc.value) is error and str(exc.value) == message
+
+    def test_parse_reads_no_block_past_the_first_bad_row(self, monkeypatch):
+        # two rows a block and one line a read: the header and the block of
+        # the bad row b are three reads; the repeated a comes later
+        monkeypatch.setattr(dnagraph.labeling, "_BLOCK_ROWS", 2)
+        lines = ["12 2\n", "a\t1 2\n", "b\t1 0\n", "c\t1 1\n", "a\t2 2\n"]
+        reads = []
+
+        class OneLineARead:
+            def readlines(self, hint):
+                reads.append(hint)
+                assert len(reads) <= 3, "read past the block of the first bad row"
+                return lines[len(reads) - 1:len(reads)]
+
+        with pytest.raises(InvalidInputError, match=r"^label for b uses symbols outside 1\.\.12$"):
+            parse_labeling(OneLineARead())
+        assert len(reads) == 3
 
     def test_given_names_key_the_labeling_and_change_nothing_else(self):
         texts = [text for text, _, _ in FIRST_ERRORS]
