@@ -35,12 +35,28 @@ def _parse_file(parse, path: str):
         return parse(fh.read())
 
 
-def _emit(path: str | None, out, fmt, *values) -> None:
-    """fmt's text of values, written to the file at path, or else to out."""
-    if path is None:
-        return fmt(*values, out=out)
-    with open(path, "w", encoding="utf-8") as fh:
-        fmt(*values, out=fh)
+def _emit(out, *writes) -> None:
+    """Write fmt's text of values for each (path, fmt, *values) of writes, falsy ones skipped,
+    to the file at path, or out if None; all files open first, a failure removes those it made."""
+    writes, files, written = [w for w in writes if w], [], False
+    try:
+        for path, *_ in writes:
+            try:
+                files.append(out if path is None else open(path, "x", encoding="utf-8"))
+            except FileExistsError:
+                files.append(open(path, "a", encoding="utf-8"))
+        for fh, (_, fmt, *values) in zip(files, writes):
+            if fh is not out and fh.mode == "a" and os.path.isfile(fh.name):
+                fh.truncate(0)  # an existing file, emptied only now; not /dev/null or a pipe
+            fmt(*values, out=fh)
+            fh.flush()  # before a later file, maybe this same one, is emptied
+        written = True
+    finally:
+        for fh in files:
+            if fh is not out:
+                fh.close()
+                if not written and fh.mode == "x":  # a file this call created
+                    os.remove(fh.name)
 
 
 def _load_pair(args):
@@ -62,28 +78,23 @@ def _build(table: dict, flag: str, args):
 
 def _cmd_gen(args, out) -> int:
     d = _build(FAMILIES, "family", args)
-    _emit(args.out, out, format_digraph_text, d)
-    if args.dot:
-        _emit(args.dot, out, to_dot, d)
+    _emit(out, (args.out, format_digraph_text, d), args.dot and (args.dot, to_dot, d))
     return 0
 
 
 def _cmd_label(args, out) -> int:
     result = _build(CONSTRUCTIONS, "construction", args)
-    if args.out_digraph:
-        _emit(args.out_digraph, out, format_digraph_text, result.digraph)
-    if args.dot:
-        _emit(args.dot, out, to_dot, result.digraph, result.labeling)
-    _emit(args.out_labeling, out, format_labeling, result.labeling)
+    d, lab = result.digraph, result.labeling
+    _emit(out, args.out_digraph and (args.out_digraph, format_digraph_text, d),
+          args.dot and (args.dot, to_dot, d, lab), (args.out_labeling, format_labeling, lab))
     return 0
 
 
 def _cmd_lift(args, out) -> int:
     d, lab = _load_pair(args)
     lifted, lifted_lab = lift_m(d, lab, args.m)
-    if args.out_digraph:
-        _emit(args.out_digraph, out, format_digraph_text, lifted)
-    _emit(args.out_labeling, out, format_labeling, lifted_lab)
+    _emit(out, args.out_digraph and (args.out_digraph, format_digraph_text, lifted),
+          (args.out_labeling, format_labeling, lifted_lab))
     return 0
 
 
@@ -104,9 +115,9 @@ def _cmd_search(args, out) -> int:
     budget = {"node_budget": args.budget} if "budget" in args else {}
     cfg = SearchConfig(args.alpha, args.k, args.mode, **budget)
     outcome = find_labeling(d, cfg)
+    if outcome.verdict == SAT and args.out_labeling:  # the file first, so a refusal prints nothing
+        _emit(out, (args.out_labeling, format_labeling, outcome.certificate))
     out.write(f"{d.vertex_count} {args.alpha} {args.k} {outcome.verdict} {outcome.nodes_explored}\n")
-    if outcome.verdict == SAT and args.out_labeling:
-        _emit(args.out_labeling, out, format_labeling, outcome.certificate)
     return 0
 
 
@@ -134,27 +145,23 @@ def _cmd_sequence(args, out) -> int:
     names = to_nucleotides(lab)
     line, line_lab = lift_once(d, lab)
     merged = to_nucleotides(line_lab)
-    out.write("vertices:\n")
-    for v in d.vertices:
-        out.write(f"  {v}\t{names[v]}\n")
-    out.write("arcs:\n")
-    for (tail, head), walk in zip(d.arcs, line.vertices):
-        out.write(f"  {tail} {head}\t{merged[walk]}\n")
+    report = ["vertices:\n", *(f"  {v}\t{names[v]}\n" for v in d.vertices), "arcs:\n",
+              *(f"  {t} {h}\t{merged[w]}\n" for (t, h), w in zip(d.arcs, line.vertices))]
     path = eulerian_path(d, args.start)
     if path is None:
-        out.write("no eulerian path\n")
+        out.write("".join(report) + "no eulerian path\n")
         return 1
-    out.write("eulerian path: " + " ".join(f"{t}>{h}" for t, h in path) + "\n")
     walks = hamiltonian_path(d, line, path)
-    out.write("hamiltonian path: " + " ".join(walks) + "\n")
-    out.write(f"spectrum (eulerian): {spell_eulerian(lab, path)}\n")
     spectrum = merged[walks[0]] + "".join(merged[w][-1] for w in walks[1:])
-    out.write(f"spectrum (line digraph): {spectrum}\n")
     paths = count_eulerian_paths(d, path)
     bound = "at least " if paths >= PATH_COUNT_CAP else ""
-    out.write(f"distinct eulerian paths from this start: {bound}{paths}\n")
-    if args.dot:
-        _emit(args.dot, out, to_dot, line)
+    report += ["eulerian path: " + " ".join(f"{t}>{h}" for t, h in path) + "\n",
+               "hamiltonian path: " + " ".join(walks) + "\n",
+               f"spectrum (eulerian): {spell_eulerian(lab, path)}\n",
+               f"spectrum (line digraph): {spectrum}\n",
+               f"distinct eulerian paths from this start: {bound}{paths}\n"]
+    _emit(out, args.dot and (args.dot, to_dot, line))  # the file first, so a refusal prints nothing
+    out.write("".join(report))
     return 0
 
 

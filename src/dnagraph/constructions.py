@@ -22,10 +22,11 @@ use catalogued strings; every glued family's strings are one formula
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 from .digraph import Digraph, make_chorded_cycle, make_infinity, make_propeller3
 from .errors import ConstructionFailure, InvalidParameterError, UnsupportedParameterError
-from .labeling import Label, Labeling, find_quasi_violation
+from .labeling import Labeling, find_quasi_violation
 
 @dataclass(frozen=True)
 class ConstructionResult:
@@ -44,25 +45,23 @@ def _ceil_half(x: int) -> int:
     return (x + 1) // 2
 
 
-def _windows(s: tuple[int, ...], k: int) -> list[Label]:
-    """All cyclic k-windows of s, one per start position."""
-    ring = s * (k // len(s) + 2)
-    return [ring[i:i + k] for i in range(len(s))]
-
-
 def _label_cycles(d: Digraph, strings: tuple[tuple[int, ...], ...], alpha: int, k: int,
                   tag: str) -> ConstructionResult:
-    """Label the cycles v*, u*, w* of d (in that order) by the cyclic k-windows
-    of strings[0], strings[1], ...; the second window of every cycle sits on
-    the shared vertex v2, so all cycles must agree on it."""
-    assignment: dict[str, Label] = {}
-    for prefix, s in zip("vuw", strings):
-        labels = _windows(s, k)
-        if assignment.setdefault("v2", labels[1]) != labels[1]:
+    """Label the cycles of d, whose vertices are listed as _glued_cycles lists
+    them, by the cyclic k-windows of strings[0], strings[1], ..., each window's
+    code rolled from the one before.  The second window of every cycle sits on
+    the shared vertex v2, so all must agree on it; v2 is the first key."""
+    if not all(1 <= s <= alpha for s in chain.from_iterable(strings)):
+        raise ConstructionFailure(f"{tag}: a cycle string uses symbols outside 1..{alpha}")
+    window = alpha ** (k - 1)
+    flat: list[int] = []  # the codes in d's vertex order
+    for s in strings:
+        ring = (s * (k // len(s) + 2))[:k + len(s) - 1]
+        codes = list(accumulate(ring, lambda c, x: c % window * alpha + x - 1, initial=0))[k:]
+        if flat and flat[1] != codes[1]:
             raise ConstructionFailure(f"{tag}: cycles disagree on the shared vertex label")
-        assignment.update((f"{prefix}{i}", label)
-                          for i, label in enumerate(labels, start=1) if i != 2)
-    labeling = Labeling(alpha, k, assignment)
+        flat += codes[:1] + codes[2:] if flat else codes  # a later cycle's second vertex is v2
+    labeling = Labeling._trusted(alpha, k, {d.vertices[1]: flat[1], **dict(zip(d.vertices, flat))})
     bad = find_quasi_violation(d, labeling)
     if bad is not None:
         raise ConstructionFailure(f"{tag} construction failed self-verification: {bad}")

@@ -135,8 +135,8 @@ def make_dipath(n: int) -> Digraph:
     """Directed path v1 -> v2 -> ... -> vn."""
     if n < 2:
         raise InvalidParameterError("dipath needs n >= 2")
-    vs = [f"v{i}" for i in range(1, n + 1)]
-    return Digraph(vs, [(vs[i], vs[i + 1]) for i in range(n - 1)])
+    return Digraph._from_indices(tuple(f"v{i}" for i in range(1, n + 1)),
+                                 list(range(n - 1)), list(range(1, n)))
 
 
 def _glued_cycles(*lengths: int, chords=()) -> Digraph:
@@ -146,11 +146,14 @@ def _glued_cycles(*lengths: int, chords=()) -> Digraph:
     The cycles are v1..vn, then u1..up and w1..wq, where the second vertex of
     every cycle is the shared v2; vertices are listed in that order, each once.
     """
-    cycles = [[f"{prefix}{i}" if i != 2 else "v2" for i in range(1, length + 1)]
-              for prefix, length in zip("vuw", lengths)]
-    arcs = [arc for names in cycles for arc in zip(names, names[1:] + names[:1])]
-    arcs += [(f"v{i}", f"v{j}") for i, j in chords]
-    return Digraph(dict.fromkeys(chain.from_iterable(cycles)), arcs)
+    names, tail, head = [], [], []
+    for prefix, length in zip("vuw", lengths):
+        first = len(names)
+        names += [f"{prefix}{i}" for i in range(1, length + 1) if i != 2 or not first]
+        cycle = [first, 1, *range(len(names) - length + 2, len(names))]  # v2 is vertex 1
+        tail, head = tail + cycle, head + cycle[1:] + cycle[:1]
+    return Digraph._from_indices(tuple(names), tail + [i - 1 for i, _ in chords],
+                                 head + [j - 1 for _, j in chords])
 
 
 def make_dicycle(n: int) -> Digraph:
@@ -209,17 +212,13 @@ def make_windmill(n: int) -> Digraph:
 
 
 def make_ladder(n: int) -> Digraph:
-    """Oriented 2 x n grid: top row rightward, bottom row leftward,
-    rung at column c upward (bottom->top) for even c, downward for odd c."""
+    """Oriented 2 x n grid on t0..t(n-1), then b0..b(n-1): top row rightward, bottom
+    row leftward, rung at column c upward (bottom->top) for even c, downward for odd c."""
     if n < 2:
         raise InvalidParameterError("ladder needs n >= 2")
-    top = [f"t{c}" for c in range(n)]
-    bot = [f"b{c}" for c in range(n)]
-    arcs = [(top[c], top[c + 1]) for c in range(n - 1)]
-    arcs += [(bot[c + 1], bot[c]) for c in range(n - 1)]
-    for c in range(n):
-        arcs.append((bot[c], top[c]) if c % 2 == 0 else (top[c], bot[c]))
-    return Digraph(top + bot, arcs)
+    tail = list(range(n - 1)) + list(range(n + 1, 2 * n)) + [c + n * (1 - c % 2) for c in range(n)]
+    head = list(range(1, n)) + list(range(n, 2 * n - 1)) + [c + n * (c % 2) for c in range(n)]
+    return Digraph._from_indices(tuple(f"{row}{c}" for row in "tb" for c in range(n)), tail, head)
 
 
 # family name -> (parameters make_* takes, in order; make_*)

@@ -102,8 +102,13 @@ class Labeling:
 
     def relabeled(self, permutation: dict[int, int]) -> "Labeling":
         """Apply one alphabet permutation uniformly to every label."""
-        moved = {v: tuple(permutation[s] for s in lab) for v, lab in self.assignment.items()}
-        return Labeling(self.alpha, self.k, moved)
+        alpha = self.alpha
+        images = [permutation[s] for s in range(1, alpha + 1)]
+        if any(type(s) is not int for s in images) or sorted(images) != list(range(1, alpha + 1)):
+            raise InvalidInputError(f"relabeling needs a permutation of 1..{alpha}")
+        places = [alpha ** i for i in reversed(range(self.k))]
+        return Labeling._trusted(alpha, self.k, {
+            v: sum((images[c // p % alpha] - 1) * p for p in places) for v, c in self.codes.items()})
 
 
 def overlap_merge(a: Label, b: Label) -> Label:

@@ -45,12 +45,14 @@ def test_run_all_reports_pass_and_fail(monkeypatch):
 
 
 def test_a_library_error_fails_its_criterion_and_the_rest_run(corrupt_trusted_labelings):
-    # every lift's self-check raises ConstructionFailure under this fixture
+    # under this fixture every labeling built from codes is corrupt, so a
+    # self-check or a criterion's own check fails in every criterion but
+    # ladder-iso, which builds no labeling
     out, err = io.StringIO(), io.StringIO()
     assert cli.main(["acceptance"], out=out, err=err) == 1
     lines = out.getvalue().splitlines()
     assert [line.split()[1] for line in lines] == [c.ident for c in CRITERIA]
-    assert [line.split()[0] for line in lines].count("PASS") == 6
+    assert [line.split()[0] for line in lines].count("PASS") == 1
     assert err.getvalue() == ""
 
 

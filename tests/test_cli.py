@@ -242,6 +242,13 @@ def test_sequence_checks_the_lifted_labels(corrupt_trusted_labelings):
     assert err.count("\n") == 1
 
 
+def test_label_runs_the_construction_self_check(corrupt_trusted_labelings):
+    code, out, err = run_with_err(["label", "--construction", "chorded-cycle", "--n", "9"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: chorded-cycle construction failed self-verification: ")
+    assert err.count("\n") == 1
+
+
 def test_sequence_requires_input():
     code, out, err = run_with_err(["sequence"])
     assert code == 2 and out == ""

@@ -1,6 +1,7 @@
 """The CLI's file edge: reads and writes go a block of lines at a time.
 
 Pinned here: the exit code and stderr of a file the CLI cannot read, that
+a verb writes all its output files or none, that
 a streamed read parses a file as the whole text parses, that a block write
 gives the bytes of the whole text, that a lift and a verify stay within
 a few times the bytes of their files, and that the digraph writer and the
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import dnagraph
 import dnagraph.lift
 from dnagraph import (Digraph, Labeling, cli, find_full_violation, find_quasi_violation,
                       format_digraph_text, format_labeling, line_digraph, make_dicycle,
@@ -99,6 +101,88 @@ def test_a_pipe_is_read_once(tmp_path, monkeypatch, flag, data, want):
     finally:
         os.close(read)
     assert (code, out.getvalue(), err.getvalue()) == want
+
+
+# ---------------------------------------------------------------------------
+# a verb writes all its files or none
+# ---------------------------------------------------------------------------
+
+def all_or_nothing_cases():
+    """(argv, the output file it can open, or None) for each verb that writes
+    a file, where a later output's path cannot be opened."""
+    label = ["label", "--construction", "double-cycle", "--n", "5"]
+    yield ["gen", "--family", "dicycle", "--n", "5", "--out", "d.txt", "--dot", "no/d.dot"], "d.txt"
+    yield ["gen", "--family", "dicycle", "--n", "5", "--dot", "no/d.dot"], None
+    yield label + ["--out-digraph", "g.txt", "--out-labeling", "no/l.txt"], "g.txt"
+    yield label + ["--out-digraph", "g.txt", "--dot", "no/g.dot"], "g.txt"
+    yield ["lift", "--m", "1", "--digraph", "good.digraph", "--labeling", "good.labeling",
+           "--out-digraph", "l1.digraph", "--out-labeling", "no/l1.labeling"], "l1.digraph"
+    yield ["sequence", "--demo", "--start", "TA", "--dot", "no/s.dot"], None
+    yield ["search", "--alpha", "3", "--k", "2", "--digraph", "good.digraph",
+           "--out-labeling", "no/s.labeling"], None
+
+
+@pytest.mark.parametrize("argv, good, existing", [
+    (argv, good, existing) for argv, good in all_or_nothing_cases()
+    for existing in ((False, True) if good else (False,))],
+    ids=("gen-new", "gen-existing", "gen-stdout", "label-new", "label-existing", "label-dot-new",
+         "label-dot-existing", "lift-new", "lift-existing", "sequence", "search"))
+def test_a_verb_writes_all_its_files_or_none(tmp_path, monkeypatch, argv, good, existing):
+    monkeypatch.chdir(tmp_path)
+    for name, text in GOOD.items():
+        Path(name).write_text(text, encoding="utf-8")
+    if good and existing:
+        Path(good).write_bytes(b"kept bytes\n" * 100)
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(argv, out=out, err=err)
+    missing = argv[-1]
+    want = f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", want)
+    if good:
+        assert Path(good).exists() == existing
+        assert not existing or Path(good).read_bytes() == b"kept bytes\n" * 100
+
+
+def test_an_existing_file_is_replaced_whole(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("d.txt").write_text("x" * 10_000, encoding="utf-8")
+    assert cli.main(["gen", "--family", "dicycle", "--n", "3", "--out", "d.txt"]) == 0
+    assert Path("d.txt").read_text(encoding="utf-8") == format_digraph_text(make_dicycle(3))
+
+
+def test_a_path_named_twice_holds_the_last_write(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen", "--family", "dicycle", "--n", "30", "--out", "x", "--dot", "x"]) == 0
+    assert Path("x").read_text(encoding="utf-8") == to_dot(make_dicycle(30))
+    # the shorter text written second leaves nothing of the longer one
+    assert cli.main(["label", "--construction", "double-cycle", "--n", "5",
+                     "--dot", "y", "--out-labeling", "y"]) == 0
+    res = dnagraph.label_double_cycle(5)
+    assert Path("y").read_text(encoding="utf-8") == format_labeling(res.labeling)
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs the null device")
+def test_a_special_file_takes_output(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    assert cli.main(["label", "--construction", "double-cycle", "--n", "5",
+                     "--out-digraph", os.devnull, "--out-labeling", os.devnull], out=out) == 0
+    assert out.getvalue() == "" and list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_write_removes_the_files_it_created(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def full_disk(lab, out=None):
+        out.write("partial")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "format_labeling", full_disk)
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(["label", "--construction", "double-cycle", "--n", "5", "--out-digraph",
+                     "g.txt", "--out-labeling", "l.txt"], out=out, err=err)
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", "error: [Errno 28] No space left on device\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

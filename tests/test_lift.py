@@ -207,8 +207,10 @@ def test_lift_cli_bytes_pinned(tmp_path):
                        "f540974cf3f4aa80605e963ad11f1722616ca337ceb716637b32762b22a798b7"]
 
 
-def test_lift_checks_a_corrupt_merge(corrupt_trusted_labelings):
-    # the lifted labeling skips the constructor's checks, not the full check
+def test_lift_checks_a_corrupt_merge(request):
+    # the lifted labeling skips the constructor's checks, not the full check;
+    # the input is built before the corruption, which its own self-check catches
     res = label_chorded_cycle(9)
+    request.getfixturevalue("corrupt_trusted_labelings")
     with pytest.raises(ConstructionFailure, match="lifted labeling is not full"):
         lift_once(res.digraph, res.labeling)
