@@ -13,7 +13,7 @@ import sys
 
 from .constructions import CONSTRUCTIONS
 from .digraph import FAMILIES, format_digraph_text, isomorphic, parse_digraph_text, to_dot
-from .errors import DnaGraphError, InvalidParameterError
+from .errors import DnaGraphError, InvalidInputError, InvalidParameterError
 from .labeling import (find_dna_violation, find_full_violation, find_quasi_violation,
                        format_labeling, parse_labeling)
 from .lift import lift_m, lift_once
@@ -22,17 +22,15 @@ VERIFIERS = {"quasi": find_quasi_violation, "full": find_full_violation, "dna": 
 
 
 def _parse_file(parse, path: str):
-    """parse applied to the file at path, streamed if the file can seek."""
+    """parse applied to the file at path, a regular file or a pipe, streamed
+    once: the first fault in read order is raised, and the read stops there.
+    A byte that is not UTF-8 is met when the ~8 KiB chunk holding it is
+    decoded, so its error names no position."""
     with open(path, "r", encoding="utf-8") as fh:
-        if fh.seekable():  # a pipe cannot be read a second time
-            try:
-                return parse(fh)
-            except ValueError:
-                # a streamed read can meet a bad line before a bad byte, and
-                # counts a bad byte's position within its chunk: the whole
-                # text gives the error a whole-file read reports
-                fh.seek(0)
-        return parse(fh.read())
+        try:
+            return parse(fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def _emit(out, *writes) -> None:

@@ -213,9 +213,8 @@ def format_labeling(lab: Labeling, out=None) -> str | None:
 
 def _row_codes(rows: list[list[str]], alpha: int, k: int, own: dict[str, str]):
     """(name, code) of each row (a name then its symbols), in row order, a
-    name that is a key of own given as own's string; or the error of the
-    first bad row.  alpha >= 1 and k >= 2; a name repeated within the rows
-    may come once."""
+    name that is a key of own given as own's string, if every symbol is one
+    ASCII character; otherwise, or on any bad row, ().  alpha >= 1, k >= 2."""
     # k symbols a row: if every symbol is one ASCII character, the k bytes of
     # a row's symbols joined and translated are its code
     if {k + 1}.issuperset(map(len, rows)):
@@ -227,9 +226,7 @@ def _row_codes(rows: list[list[str]], alpha: int, k: int, own: dict[str, str]):
                 return zip(map(own.get, names, names), codes)
         except ValueError:  # a symbol that is no digit 1..alpha, or alpha outside 2..36
             pass
-    # otherwise (symbols of several characters, or an error) read row by row
-    codes = Labeling(alpha, k, {name: symbols for name, *symbols in rows}).codes
-    return zip(map(own.get, codes, codes), codes.values())
+    return ()
 
 
 def parse_labeling(text, names=()) -> Labeling:
@@ -251,17 +248,14 @@ def parse_labeling(text, names=()) -> Labeling:
     Labeling(alpha, k, {})  # raises on a bad alpha or k
     codes: dict[str, int] = {}
     while block := list(islice(rows, _BLOCK_ROWS)):
-        size = len(codes)
-        try:
-            codes.update(_row_codes(block, alpha, k, own))
-        except ValueError:
-            pass
-        if len(codes) != size + len(block):
-            seen = set(islice(codes, size))  # the names of earlier blocks
+        pairs = dict(_row_codes(block, alpha, k, own))
+        if len(pairs) == len(block) and codes.keys().isdisjoint(pairs):
+            codes.update(pairs)
+        else:  # row by row, into codes this block left untouched: the first
+            # bad or repeated row is raised
             for name, *symbols in block:
-                if name in seen:
+                if name in codes:
                     raise InvalidInputError(f"vertex {name} labeled twice")
-                seen.add(name)
-                Labeling(alpha, k, {name: symbols})
-        del block  # two blocks of rows are never held at once
+                codes[own.get(name, name)] = Labeling(alpha, k, {name: symbols}).codes[name]
+        del block, pairs  # two blocks of rows are never held at once
     return Labeling._trusted(alpha, k, codes)

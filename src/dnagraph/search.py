@@ -63,10 +63,11 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _vertex_order(d: Digraph) -> list[str]:
-    """Decision order: start at the first vertex of maximum out-degree, then
-    take the undecided vertex with the most decided in- and out-neighbors,
-    ties going to the vertex whose count rose last, then to vertex order."""
+def _vertex_order(d: Digraph) -> list[int]:
+    """Decision order, as vertex indices: start at the first vertex of
+    maximum out-degree, then take the undecided vertex with the most decided
+    in- and out-neighbors, ties going to the vertex whose count rose last,
+    then to vertex order."""
     n = d.vertex_count
     near: list[list[int]] = [[] for _ in range(n)]  # in- and out-neighbours, by index
     for t, h in zip(d._tail, d._head):
@@ -78,9 +79,9 @@ def _vertex_order(d: Digraph) -> list[str]:
     base = n + 1
     score = dict.fromkeys(range(n), 0)
     v = max(range(n), key=d._tail.count)
-    order: list[str] = []
+    order: list[int] = []
     for step in range(1, base):
-        order.append(d.vertices[v])
+        order.append(v)
         del score[v]
         for w in near[v]:
             if w in score:
@@ -127,8 +128,9 @@ def find_labeling(d: Digraph, cfg: SearchConfig) -> SearchOutcome:
     window = alpha ** (k - 1)  # labels are codes: prefix c // alpha, suffix c % window
     # vertices are named by decision position: at depth i, the decided
     # vertices are exactly positions 0..i-1
-    rank = dict(zip(order, range(n)))
-    at = [rank[v] for v in d.vertices]
+    at = [0] * n
+    for i, v in enumerate(order):
+        at[v] = i
     into: list[list[int]] = [[] for _ in range(n)]  # earlier positions with an arc into i
     out_of: list[list[int]] = [[] for _ in range(n)]  # earlier positions i has an arc into
     loop = [False] * n
@@ -210,7 +212,7 @@ def find_labeling(d: Digraph, cfg: SearchConfig) -> SearchOutcome:
         return SearchOutcome(BUDGET_EXCEEDED, None, nodes)
     if not found:
         return SearchOutcome(UNSAT, None, nodes)
-    certificate = Labeling._trusted(alpha, k, dict(zip(order, labels)))
+    certificate = Labeling._trusted(alpha, k, dict(zip(map(d.vertices.__getitem__, order), labels)))
     check = find_full_violation if full else find_quasi_violation
     bad = check(d, certificate)
     if bad is not None:

@@ -222,6 +222,27 @@ class TestTextFormat:
             parse_labeling(OneLineARead())
         assert len(reads) == 3
 
+    @pytest.mark.parametrize("alpha", [4, 12])
+    def test_parse_time_is_linear_in_the_rows(self, monkeypatch, alpha):
+        # symbols of two digits (alpha 12) are read row by row: a parse that
+        # rebuilt the names of earlier blocks for each block would hash each
+        # name once a block; a linear parse hashes it a bounded number of times
+        monkeypatch.setattr(dnagraph.labeling, "_BLOCK_ROWS", 16)
+        hashes = [0]
+
+        class Name(str):
+            def __hash__(self):
+                hashes[0] += 1
+                return str.__hash__(self)
+
+        rows = 800
+        names = [Name(f"v{i}") for i in range(rows)]
+        text = f"{alpha} 3\n" + "".join(f"{v}\t{alpha} 1 {i % alpha + 1}\n" for i, v in enumerate(names))
+        hashes[0] = 0
+        lab = parse_labeling(text, names=names)
+        assert len(lab.codes) == rows and lab.label_of("v799") == (alpha, 1, 799 % alpha + 1)
+        assert hashes[0] <= 4 * rows
+
     def test_given_names_key_the_labeling_and_change_nothing_else(self):
         texts = [text for text, _, _ in FIRST_ERRORS]
         texts += ["2 2\nx\t1 1\nx \t1 2\n", "oops\n", "", "12 3\nab\t10 11 12\nb\t11 12 1\n",
